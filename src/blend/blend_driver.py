@@ -62,7 +62,18 @@ def agreed_significant_digits(a: float, b: float, precision_cap: int = 15) -> in
 
 
 def round_to_digits(x: float, digits: int) -> float:
-    """Round x to ``digits`` significant digits (round-half-even)."""
+    """Round x to ``digits`` significant digits (round-half-even).
+
+    The result is the double nearest to the decimal that rounds x's exact
+    value correctly to ``digits`` significant digits.  That decimal is rarely
+    representable, so the guarantee is
+
+        |result - x| <= 0.5 * 10**(E - digits + 1) + 0.5 * ulp(result),
+
+    with E = floor(log10|x|).  The ulp term matters only at 15 digits and up,
+    where the decimal spacing nears the binary one.  Rounding a result again
+    returns it unchanged.
+    """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     if x == 0.0 or not math.isfinite(x):

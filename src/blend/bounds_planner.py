@@ -160,23 +160,28 @@ def solve_k_exact_h(
     def bound_at(h: float) -> float:
         return remainder_bound(envelope, n, h, formula).bound
 
+    # Each step evaluates the bound at one new point; the bound at ``best``
+    # travels with it instead of being evaluated again.
     hi = DOMAIN_EDGE_SAFETY * h_domain(envelope)
-    if bound_at(hi) < target:
+    hi_bound = bound_at(hi)
+    if hi_bound < target:
         # Even near the domain edge the truncation is tighter than asked for.
-        return StepPlan(h=hi, bound=bound_at(hi), target=target, formula=formula, clipped=True)
+        return StepPlan(h=hi, bound=hi_bound, target=target, formula=formula, clipped=True)
     lo = hi * 1e-12
-    while bound_at(lo) > target:
+    lo_bound = bound_at(lo)
+    while lo_bound > target:
         lo *= 0.5
         if lo < 5e-324:
             raise ArithmeticError("failed to bracket the step-size root")
-    best = lo
+        lo_bound = bound_at(lo)
+    best, best_bound = lo, lo_bound
     for _ in range(_BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         value = bound_at(mid)
         if value <= target:
-            lo, best = mid, mid
+            lo, best, best_bound = mid, mid, value
         else:
             hi = mid
-        if abs(bound_at(best) - target) <= _RESIDUAL_RTOL * target:
+        if abs(best_bound - target) <= _RESIDUAL_RTOL * target:
             break
-    return StepPlan(h=best, bound=bound_at(best), target=target, formula=formula, clipped=False)
+    return StepPlan(h=best, bound=best_bound, target=target, formula=formula, clipped=False)

@@ -21,13 +21,14 @@ from typing import Sequence
 
 import click
 
+from . import __version__
 from .blend_driver import BlendConfig, BlendReport, DirectionSpec, directional_oracle, run_blend
 from .bounds_planner import BOUND_FORMULAS, GrowthEnvelope, h_domain, solve_k_exact_h
 from .expressions import ExpressionError, compile_expression
 from .models import (
     CATALOG,
     TandemQueueModel,
-    build_generator,
+    build_generator,  # noqa: F401  unused here; perfbench/spans.py wraps it under this name
     quadratic_form,
     queue_sensitivity_oracle,
     solve_stationary,
@@ -112,7 +113,7 @@ def _build_config(h0: float, n_max: int, refinements: int, no_refine: bool, min_
 
 
 @click.group(name="blend")
-@click.version_option(package_name="blend-derivative", prog_name="blend")
+@click.version_option(version=__version__, prog_name="blend")
 def cli() -> None:
     """Black-box numerical differentiation with certified step planning."""
 
@@ -319,8 +320,8 @@ def cmd_tables(which, fmt, out_path):
 @click.option("--lambda", "arrival_rate", type=float, default=1.0, show_default=True, help="Arrival rate (sensitivity parameter).")
 @click.option("--mu1", type=float, default=1.0, show_default=True, help="Station-1 service rate.")
 @click.option("--mu2", type=float, default=2.0, show_default=True, help="Station-2 service rate.")
-@click.option("--cap1", type=click.IntRange(1, 40), default=10, show_default=True, help="Station-1 capacity (state space grows as the product of capacities).")
-@click.option("--cap2", type=click.IntRange(1, 40), default=10, show_default=True, help="Station-2 capacity.")
+@click.option("--cap1", type=click.IntRange(1, 40), default=10, show_default=True, help="Station-1 capacity.  Each evaluation solves the (cap1+1)*(cap2+1)-state chain level by level in O(cap1*cap2^3), so capacities up to 40 are practical.")
+@click.option("--cap2", type=click.IntRange(1, 40), default=10, show_default=True, help="Station-2 capacity (sets the block size cap2+1 of the level-by-level solve).")
 @click.option("--stationary-csv", type=click.Path(dir_okay=False, writable=True), default=None, help="Also export the base model's stationary vector as CSV.")
 @_driver_options
 @_format_options
@@ -332,8 +333,7 @@ def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, h0, n_max, ref
             raise ValueError("arrival rate must be positive for a sensitivity run")
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    generator = build_generator(model)
-    stationary = solve_stationary(generator)
+    stationary = solve_stationary(model)
     if stationary_csv:
         rows = [
             {"n1": n1, "n2": n2, "prob": float(stationary.probabilities[model.state_index(n1, n2)])}

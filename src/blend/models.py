@@ -4,8 +4,8 @@ The analytic catalog supplies functions whose derivatives are known in closed
 form, for calibrating and property-testing the series machinery.  The queue is
 the flagship genuinely-black-box application: a two-station tandem network
 with finite buffers has no closed-form stationary distribution, but its
-generator is small enough to solve directly, so the blocking probability is an
-ordinary numerically-evaluated function of the arrival rate.
+block-tridiagonal generator is solved level by level, so the blocking
+probability is an ordinary numerically-evaluated function of the arrival rate.
 """
 
 from __future__ import annotations
@@ -144,6 +144,9 @@ def exp_density_operator_power_closed_form(theta: float, x: float, h: float, n: 
 # ---------------------------------------------------------------------------
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 class SingularGeneratorError(RuntimeError):
     """The stationary linear system lost a pivot (reducible chain)."""
 
@@ -205,6 +208,9 @@ def build_generator(model: TandemQueueModel) -> np.ndarray:
     station 2 has room (full: the rate is suppressed); station-2 completions
     (n1,n2) -> (n1,n2-1) at mu2 while n2 > 0.  Diagonal entries close each row
     to zero.
+
+    :func:`solve_stationary` never forms this dense matrix; it is the
+    reference the tests check the block solver against.
     """
     c1, c2 = model.cap1, model.cap2
     q = np.zeros((model.state_count, model.state_count))
@@ -235,12 +241,12 @@ class StationaryDistribution:
 def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Dense LU with partial pivoting.  Hand-rolled (vectorized rank-1 updates,
     # np.sum substitutions) so results are bit-deterministic regardless of any
-    # BLAS threading; 121x121 systems do not need more.
+    # BLAS threading; it only ever sees one level's (cap2+1)-square system.
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     n = a.shape[0]
     scale = float(np.max(np.abs(a)))
-    tol = n * np.finfo(float).eps * (scale if scale > 0 else 1.0)
+    tol = n * _EPS * (scale if scale > 0 else 1.0)
     for k in range(n):
         pivot_row = k + int(np.argmax(np.abs(a[k:, k])))
         if abs(a[pivot_row, k]) <= tol:
@@ -262,26 +268,103 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_stationary(q: np.ndarray) -> StationaryDistribution:
-    """Solve pi Q = 0 with the normalization sum(pi) = 1.
+def _level_inverse(s: np.ndarray) -> np.ndarray:
+    """Inverse of a censored level block by in-place Gauss-Jordan without row swaps.
 
-    The transposed balance system has its last equation replaced by the
-    normalization row (the dropped equation is redundant: generator columns of
-    Q^T sum to zero).  Raises :class:`SingularGeneratorError` when a pivot
-    vanishes, which indicates a reducible chain.
+    Each block is the negative of a nonsingular M-matrix, so every pivot is
+    nonzero without pivoting.  A pivot that vanishes to tolerance raises
+    :class:`SingularGeneratorError`.  Rank-1 updates are elementwise numpy
+    products, never BLAS, so the result is bit-identical under any BLAS
+    threading.
     """
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    if q.shape != (n, n):
-        raise ValueError(f"generator must be square, got shape {q.shape}")
-    system = q.T.copy()
+    a = np.array(s, dtype=float)
+    n = a.shape[0]
+    scale = float(np.abs(a).max())
+    tol = n * _EPS * (scale if scale > 0 else 1.0)
+    for k in range(n):
+        pivot = a.item(k, k)
+        if abs(pivot) <= tol:
+            raise SingularGeneratorError(
+                f"pivot {k} is zero to tolerance ({pivot!r}); "
+                "the balance system is singular, which signals a reducible chain"
+            )
+        # Column k of the working array turns into column k of the inverse:
+        # clear it, scale the pivot row, then eliminate with one rank-1 update.
+        factors = a[:, k].copy()
+        factors[k] = 0.0
+        a[:, k] = 0.0
+        a[k, k] = 1.0
+        a[k] /= pivot
+        a -= factors[:, None] * a[k]
+    return a
+
+
+def _outflow(model: TandemQueueModel) -> np.ndarray:
+    """Total rate out of each state, indexed [n1, n2]: the negated generator diagonal."""
+    out = np.zeros((model.cap1 + 1, model.cap2 + 1))
+    out[1:, :-1] += model.mu1  # station-1 completions, halted while station 2 is full
+    out[:, 1:] += model.mu2  # station-2 completions
+    out[:-1] += model.arrival_rate  # arrivals, lost while station 1 is full
+    return out
+
+
+def _local_block(outflow: np.ndarray, mu2: float) -> np.ndarray:
+    """Generator block within one level: station-2 completions n2 -> n2-1 and the diagonal."""
+    block = np.diag(-outflow)
+    n2 = np.arange(1, outflow.size)
+    block[n2, n2 - 1] = mu2
+    return block
+
+
+def solve_stationary(model: TandemQueueModel) -> StationaryDistribution:
+    """Stationary distribution of the tandem queue by linear level reduction.
+
+    In lexicographic order the generator is block tridiagonal over levels
+    n1 = 0..cap1, with blocks of cap2+1 states: up = arrival_rate * I, down =
+    D with mu1 on the superdiagonal, and each level's local block L_j.  Levels
+    are eliminated from cap1 down to 1 (Gaver, Jacobs & Latouche 1984):
+
+        S_cap1 = L_cap1,   R_j = -arrival_rate * S_j^-1,   S_{j-1} = L_{j-1} + R_j D,
+
+    where S_j is level j's block of the chain censored to levels <= j.  Level
+    0 is solved from pi_0 S_0 = 0 with its last equation replaced by a
+    normalization row, then pi_j = pi_{j-1} R_j and the whole vector is
+    normalized.  The cost is O(cap1 * cap2^3) against O((cap1 * cap2)^3) for
+    the dense system, and the order matters: eliminating from level 0 upward
+    would invert L_0, which is singular without arrivals.
+
+    Raises :class:`SingularGeneratorError` when a pivot vanishes, which
+    indicates a reducible chain.  ``residual_norm`` is ||pi Q||_inf evaluated
+    from the blocks.
+    """
+    lam, mu1, mu2 = model.arrival_rate, model.mu1, model.mu2
+    outflow = _outflow(model)
+    inner = _local_block(outflow[1], mu2)  # levels 1..cap1-1 share one block
+    local = [_local_block(outflow[0], mu2)] + [inner] * (model.cap1 - 1) + [_local_block(outflow[-1], mu2)]
+    rates = [None] * (model.cap1 + 1)
+    censored = local[-1]
+    for j in range(model.cap1, 0, -1):
+        rates[j] = -lam * _level_inverse(censored)
+        # D has mu1 on the superdiagonal, so R_j D is a column shift of R_j.
+        censored = local[j - 1].copy()
+        censored[:, 1:] += mu1 * rates[j][:, :-1]
+    system = censored.T.copy()
     system[-1, :] = 1.0
-    rhs = np.zeros(n)
+    rhs = np.zeros(model.cap2 + 1)
     rhs[-1] = 1.0
-    pi = _lu_solve(system, rhs)
-    # pairwise reduction instead of a BLAS matvec, same bit-determinism
-    # rationale as the solver itself
-    balance = np.sum(pi[:, None] * q, axis=0)
+    levels = [_lu_solve(system, rhs)]
+    for j in range(1, model.cap1 + 1):
+        # pi_{j-1} R_j by pairwise column sums instead of a BLAS product
+        levels.append(np.add.reduce(levels[-1][:, None] * rates[j], axis=0))
+    pi = np.concatenate(levels)
+    pi /= float(np.sum(pi))
+    # pi Q block by block: the local blocks, arrivals from the level below and
+    # station-1 completions from the level above.
+    by_level = pi.reshape(outflow.shape)
+    balance = -outflow * by_level
+    balance[:, :-1] += mu2 * by_level[:, 1:]
+    balance[1:] += lam * by_level[:-1]
+    balance[:-1, 1:] += mu1 * by_level[1:, :-1]
     residual = float(np.max(np.abs(balance)))
     return StationaryDistribution(probabilities=pi, residual_norm=residual)
 
@@ -292,8 +375,7 @@ def blocking_probability(model: TandemQueueModel) -> float:
     Poisson arrivals see time averages, so this is also the long-run fraction
     of arrivals rejected.
     """
-    q = build_generator(model)
-    pi = solve_stationary(q).probabilities
+    pi = solve_stationary(model).probabilities
     start = model.state_index(model.cap1, 0)
     return float(np.sum(pi[start : start + model.cap2 + 1]))
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from .blend_driver import BlendConfig, DirectionSpec, directional_oracle, run_blend
 from .models import CATALOG, TandemQueueModel, blocking_probability, quadratic_form, queue_sensitivity_oracle
 from .oracle import FunctionOracle
-from .series_core import blend_partial_sums
+# Unused here; kept importable under this name for perfbench/spans.py, which wraps it.
+from .series_core import blend_partial_sums  # noqa: F401
 
 N_MAX = 8
 
@@ -218,13 +219,18 @@ def _computed_reference(number: int) -> float:
 
 
 def generate_table(number: int, *, max_workers: int | None = None) -> dict:
-    """Regenerate one table and audit it against the stored expectations."""
+    """Regenerate one table and audit it against the stored expectations.
+
+    One fixed-step run, as in the published experiments (no refinement): its
+    trace supplies the rows, so every grid point is evaluated once.
+    """
     spec = TABLES[number]
     oracle, theta = _table_oracle(number)
-    trace = blend_partial_sums(oracle, theta, spec.regeneration_h, N_MAX, max_workers=max_workers)
+    config = BlendConfig(h0=spec.regeneration_h, n_max=N_MAX, max_h_refinements=0)
+    report = run_blend(oracle, theta, config, max_workers=max_workers)
     rows = []
     for i, expected in enumerate(spec.published_rows):
-        computed = trace.deltas[i]
+        computed = report.trace.deltas[i]
         diff = abs(computed - expected)
         rows.append(
             {
@@ -235,9 +241,6 @@ def generate_table(number: int, *, max_workers: int | None = None) -> dict:
                 "match": diff <= spec.match_tolerance,
             }
         )
-    # Single fixed-step run, as in the published experiments: no refinement.
-    config = BlendConfig(h0=spec.regeneration_h, n_max=N_MAX, max_h_refinements=0)
-    report = run_blend(oracle, theta, config, max_workers=max_workers)
     return {
         "table": spec.number,
         "title": spec.title,

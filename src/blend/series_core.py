@@ -90,25 +90,29 @@ class StencilWeights:
 
 
 @lru_cache(maxsize=None)
-def _exact_weight_row(n: int) -> tuple[Fraction, ...]:
+def _weight_row(n: int) -> StencilWeights:
     # Incremental construction: row N adds the order-N operator-power term to
-    # row N-1, so a sweep over N = 1..N_max costs one new row per step.
+    # row N-1, so a sweep over N = 1..N_max costs one new row per step.  The
+    # float conversion happens here, once per order.
     if n == 1:
-        return (Fraction(1), Fraction(-1))
-    prev = _exact_weight_row(n - 1)
-    inv_n = Fraction(1, n)
-    row = [
-        prev[k] + (-1) ** k * math.comb(n, k) * inv_n if k < n else (-1) ** k * inv_n
-        for k in range(n + 1)
-    ]
-    return tuple(row)
+        exact = (Fraction(1), Fraction(-1))
+    else:
+        prev = _weight_row(n - 1).exact
+        inv_n = Fraction(1, n)
+        exact = tuple(
+            prev[k] + (-1) ** k * math.comb(n, k) * inv_n if k < n else (-1) ** k * inv_n
+            for k in range(n + 1)
+        )
+    return StencilWeights(order_n=n, weights=tuple(float(w) for w in exact), exact=exact)
 
 
 def stencil_weights(order_n: int) -> StencilWeights:
-    """Weights w_k of the order-N collapsed stencil, k = 0..N."""
-    _check_order(order_n)
-    exact = _exact_weight_row(order_n)
-    return StencilWeights(order_n=order_n, weights=tuple(float(w) for w in exact), exact=exact)
+    """Weights w_k of the order-N collapsed stencil, k = 0..N.
+
+    The order is validated before the cache lookup: ``True == 1`` hashes
+    alike, so a cache hit must not stand in for the type check.
+    """
+    return _weight_row(_check_order(order_n))
 
 
 def _two_product(a: float, b: float) -> tuple[float, float]:

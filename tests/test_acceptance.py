@@ -30,7 +30,6 @@ from blend import (
     TandemQueueModel,
     agreed_significant_digits,
     blend_partial_sums,
-    build_generator,
     directional_oracle,
     operator_power,
     operator_power_bound,
@@ -153,8 +152,7 @@ def test_criterion_4_table_5_reproduction():
     with criterion(4, "tandem-queue trace matches published sensitivity column"):
         start = time.perf_counter()
         model = TandemQueueModel(arrival_rate=1.0, mu1=1.0, mu2=2.0, cap1=10, cap2=10)
-        generator = build_generator(model)
-        stationary = solve_stationary(generator)
+        stationary = solve_stationary(model)
         assert stationary.residual_norm <= 1e-10
         assert abs(float(stationary.probabilities.sum()) - 1.0) <= 1e-12
         oracle = queue_sensitivity_oracle(model)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blend import (
@@ -84,12 +84,19 @@ class TestRounding:
         sign=st.sampled_from([1.0, -1.0]),
         digits=st.integers(1, 15),
     )
+    @example(x=5.966622165309635e199, sign=1.0, digits=15)
     @settings(max_examples=100, deadline=None)
     def test_round_to_digits_properties(self, x, sign, digits):
+        # The correctly rounded decimal lies within half a unit in the last
+        # kept digit of x; the returned double lies within half an ulp of
+        # that decimal.  At 15 digits the second term is not negligible: in
+        # the example above the result lies 5.099e184 from x, past the first
+        # term's 5e184, and half its ulp is 4.2e183.
         value = sign * x
         rounded = round_to_digits(value, digits)
         exponent = math.floor(math.log10(abs(value)))
-        assert abs(rounded - value) <= 0.5000001 * 10.0 ** (exponent - digits + 1)
+        bound = 0.5000001 * 10.0 ** (exponent - digits + 1) + 0.5 * math.ulp(rounded)
+        assert abs(rounded - value) <= bound
         assert round_to_digits(rounded, digits) == rounded  # idempotent
 
 

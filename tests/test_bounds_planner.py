@@ -18,6 +18,7 @@ from blend import (
     remainder_bound,
     solve_k_exact_h,
 )
+from blend import bounds_planner
 
 
 class TestEnvelope:
@@ -170,6 +171,30 @@ class TestStepSolver:
             solve_k_exact_h(envelope, 2, 0)
         with pytest.raises(ValueError):
             solve_k_exact_h(envelope, 2, 4, "bogus")
+
+    @pytest.mark.parametrize("formula", ["lemma2", "eq12"])
+    def test_each_step_evaluates_the_bound_once(self, monkeypatch, formula):
+        # One call for the domain edge, one per bracketing step (the first
+        # lower end plus each halving) and one per bisection step: no point is
+        # evaluated twice.
+        steps = []
+        original = bounds_planner.remainder_bound
+
+        def counting(envelope, n, h, formula="lemma2"):
+            steps.append(h)
+            return original(envelope, n, h, formula)
+
+        monkeypatch.setattr(bounds_planner, "remainder_bound", counting)
+        envelope = GrowthEnvelope(120.0, 2.4)
+        plan = solve_k_exact_h(envelope, 2, 6, formula)
+        edge = 0.99 * h_domain(envelope)
+        bracketing = [h for h in steps if h <= edge * 1e-12]
+        assert steps[0] == edge
+        assert steps[1 : 1 + len(bracketing)] == bracketing
+        bisection = len(steps) - 1 - len(bracketing)
+        assert 0 < bisection <= bounds_planner._BISECTION_MAX_ITER
+        assert len(set(steps)) == len(steps)
+        assert plan.bound == original(envelope, 2, plan.h, formula).bound
 
     @given(
         magnitude=st.floats(1e-3, 1e3),

@@ -277,6 +277,13 @@ class TestOutputContracts:
         assert run_cli("--help").returncode == 0
         assert run_cli("diff", "--help").returncode == 0
 
+    def test_version_needs_no_installed_metadata(self):
+        # The version comes from the package itself, so a source checkout on
+        # PYTHONPATH reports it too.
+        proc = run_cli("--version")
+        assert proc.returncode == 0
+        assert proc.stdout == "blend, version 0.1.0\n"
+
     def test_main_callable_directly(self, capsys):
         code = main(["plan", "--M", "1", "--b", "1", "--N", "2", "--K", "3", "--format", "json"])
         assert code == 0

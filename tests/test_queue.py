@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blend import (
     BlendConfig,
@@ -17,6 +22,7 @@ from blend import (
     run_blend,
     solve_stationary,
 )
+from blend.models import _level_inverse
 
 REFERENCE_MODEL = TandemQueueModel(arrival_rate=1.0, mu1=1.0, mu2=2.0, cap1=10, cap2=10)
 
@@ -33,6 +39,16 @@ def _hand_four_state_generator():
             [0.0, 0.0, 1.0, -1.0],
         ]
     )
+
+
+def _dense_solve(model: TandemQueueModel) -> np.ndarray:
+    # Reference route: LAPACK on the dense balance system, last equation
+    # replaced by the normalization row.
+    system = build_generator(model).T.copy()
+    system[-1, :] = 1.0
+    rhs = np.zeros(model.state_count)
+    rhs[-1] = 1.0
+    return np.linalg.solve(system, rhs)
 
 
 def _exact_four_state_solution():
@@ -88,14 +104,15 @@ class TestGenerator:
 
 class TestStationary:
     def test_four_state_matches_hand_solution(self):
-        pi = solve_stationary(_hand_four_state_generator()).probabilities
+        pi = solve_stationary(TandemQueueModel(1.0, 1.0, 1.0, 1, 1)).probabilities
         for value, exact in zip(pi, _exact_four_state_solution()):
             assert value == pytest.approx(float(exact), abs=1e-14)
 
     def test_matches_svd_null_space(self):
-        # Independent route: the stationary vector spans the left null space.
+        # Independent route: the stationary vector spans the left null space
+        # of the dense generator.
         q = build_generator(REFERENCE_MODEL)
-        pi = solve_stationary(q).probabilities
+        pi = solve_stationary(REFERENCE_MODEL).probabilities
         _, singular_values, vt = np.linalg.svd(q.T)
         null = vt[-1]
         assert singular_values[-1] < 1e-10
@@ -104,35 +121,77 @@ class TestStationary:
 
     def test_distribution_quality(self):
         q = build_generator(REFERENCE_MODEL)
-        result = solve_stationary(q)
+        result = solve_stationary(REFERENCE_MODEL)
         pi = result.probabilities
         assert abs(pi.sum() - 1.0) <= 1e-12
         assert np.all(pi > 0.0)
         assert result.residual_norm <= 1e-10 * np.max(np.abs(q))
+        # the residual assembled from the blocks is ||pi Q||_inf of the dense Q
+        dense_residual = np.max(np.abs(np.sum(pi[:, None] * q, axis=0)))
+        assert abs(result.residual_norm - dense_residual) <= 16 * np.finfo(float).eps * np.max(np.abs(q))
 
     def test_larger_instance_positive(self):
-        q = build_generator(TandemQueueModel(1.0, 1.0, 2.0, 10, 10))
-        pi = solve_stationary(q).probabilities
+        pi = solve_stationary(TandemQueueModel(1.0, 1.0, 2.0, 10, 10)).probabilities
         assert np.all(pi > 0.0) and abs(pi.sum() - 1.0) <= 1e-12
 
     def test_no_arrivals_concentrates_at_empty_state(self):
         model = TandemQueueModel(0.0, 1.0, 2.0, 3, 3)
-        pi = solve_stationary(build_generator(model)).probabilities
+        pi = solve_stationary(model).probabilities
         assert pi[model.state_index(0, 0)] == pytest.approx(1.0, abs=1e-13)
         assert blocking_probability(model) == pytest.approx(0.0, abs=1e-13)
 
     def test_singular_system_raises(self):
         with pytest.raises(SingularGeneratorError, match="pivot"):
-            solve_stationary(np.zeros((3, 3)))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            solve_stationary(np.zeros((3, 2)))
+            _level_inverse(np.zeros((3, 3)))
 
     def test_probabilities_are_frozen(self):
-        result = solve_stationary(_hand_four_state_generator())
+        result = solve_stationary(TandemQueueModel(1.0, 1.0, 1.0, 1, 1))
         with pytest.raises(ValueError):
             result.probabilities[0] = 0.5
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            TandemQueueModel(1.0, 1.0, 1.0, 1, 1),
+            TandemQueueModel(0.7, 1.3, 0.4, 1, 40),
+            TandemQueueModel(1.9, 0.6, 2.2, 40, 1),
+            TandemQueueModel(1.0, 1.0, 2.0, 40, 40),
+            TandemQueueModel(0.0, 1.0, 2.0, 40, 40),
+            TandemQueueModel(0.0, 0.8, 1.7, 6, 2),
+            TandemQueueModel(2.5, 0.9, 1.4, 25, 4),
+            TandemQueueModel(0.4, 1.6, 0.3, 4, 25),
+        ],
+        ids=lambda m: f"{m.cap1}x{m.cap2}-lambda{m.arrival_rate:g}",
+    )
+    def test_matches_dense_solve(self, model):
+        assert np.max(np.abs(solve_stationary(model).probabilities - _dense_solve(model))) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cap1=st.integers(1, 12),
+        cap2=st.integers(1, 12),
+        rates=st.tuples(*[st.floats(0.05, 20.0)] * 3),
+        idle=st.booleans(),
+    )
+    def test_matches_dense_solve_random_rates(self, cap1, cap2, rates, idle):
+        arrival_rate, mu1, mu2 = rates
+        model = TandemQueueModel(0.0 if idle else arrival_rate, mu1, mu2, cap1, cap2)
+        assert np.max(np.abs(solve_stationary(model).probabilities - _dense_solve(model))) <= 1e-13
+
+    def test_bytes_identical_across_blas_threads(self):
+        script = (
+            "from blend import TandemQueueModel, solve_stationary\n"
+            "for caps in ((10, 10), (20, 3), (3, 20), (40, 40)):\n"
+            "    print(solve_stationary(TandemQueueModel(1.3, 0.9, 1.7, *caps)).probabilities.tobytes().hex())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 4
 
 
 class TestBlocking:

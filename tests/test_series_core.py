@@ -91,6 +91,13 @@ class TestStencilWeights:
         with pytest.raises(ValueError):
             stencil_weights(0)
 
+    def test_cached_order_still_validates(self):
+        # True == 1 and hashes alike, so a cached order-1 row must not answer
+        # for a bool: validation precedes the cache lookup.
+        assert stencil_weights(1) is stencil_weights(1)
+        with pytest.raises(TypeError):
+            stencil_weights(True)
+
 
 class TestOperatorPower:
     def test_annihilates_low_degree_polynomial(self):
