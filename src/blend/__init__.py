@@ -48,7 +48,6 @@ from .series_core import (
     OrderCapError,
     PartialSumTrace,
     StencilWeights,
-    binomial,
     blend_partial_sums,
     compensated_dot,
     delta_from_cache,
@@ -79,7 +78,6 @@ __all__ = [
     "StepPlan",
     "TandemQueueModel",
     "agreed_significant_digits",
-    "binomial",
     "blend_partial_sums",
     "blocking_probability",
     "build_generator",

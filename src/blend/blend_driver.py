@@ -26,11 +26,18 @@ from .series_core import ORDER_CAP, PartialSumTrace, blend_partial_sums
 
 _NORM_TOL = 1e-12
 
+#: Each refinement halves the step, so the grid at h/2 takes its even points
+#: bit-identically from the grid at h.
+H_SHRINK_FACTOR = 0.5
 
-def agreed_significant_digits(a: float, b: float, precision_cap: int = 15) -> int:
+#: Most significant digits a double can be claimed to hold.
+PRECISION_CAP = 15
+
+
+def agreed_significant_digits(a: float, b: float) -> int:
     """Number of leading significant digits on which a and b agree.
 
-    Returns the largest L <= precision_cap with |a - b| <= 0.5 * 10**(E-L+1),
+    Returns the largest L <= PRECISION_CAP with |a - b| <= 0.5 * 10**(E-L+1),
     where E is the decimal exponent of max(|a|, |b|).  Magnitude-aware
     comparison, not string comparison: decimal expansions are fragile around
     carries (0.9999 and 1.0001 agree to 4 digits here, to none textually).
@@ -39,8 +46,6 @@ def agreed_significant_digits(a: float, b: float, precision_cap: int = 15) -> in
     nonzero value, return 0.  Two non-finite inputs are an argument error; one
     non-finite input simply fails to agree (returns 0).
     """
-    if not isinstance(precision_cap, int) or isinstance(precision_cap, bool) or precision_cap < 1:
-        raise ValueError(f"precision_cap must be an integer >= 1, got {precision_cap!r}")
     a = float(a)
     b = float(b)
     a_bad = not math.isfinite(a)
@@ -50,12 +55,12 @@ def agreed_significant_digits(a: float, b: float, precision_cap: int = 15) -> in
     if a_bad or b_bad:
         return 0
     if a == b:
-        return precision_cap
+        return PRECISION_CAP
     if a == 0.0 or b == 0.0 or (a > 0) != (b > 0):
         return 0
     exponent = math.floor(math.log10(max(abs(a), abs(b))))
     diff = abs(a - b)
-    for digits in range(precision_cap, 0, -1):
+    for digits in range(PRECISION_CAP, 0, -1):
         if diff <= 0.5 * 10.0 ** (exponent - digits + 1):
             return digits
     return 0
@@ -89,15 +94,15 @@ class BlendConfig:
     ``n_max`` needs at least 2 partial sums for the stopping rule to have a
     pair to compare.  ``min_agree_digits`` defaults to 2 because one matching
     digit does not separate oscillation from convergence (diverging traces
-    routinely share a leading digit).
+    routinely share a leading digit); it lies in [1, PRECISION_CAP].  Each
+    refinement multiplies the step by the constant H_SHRINK_FACTOR = 0.5, and
+    agreement is counted up to PRECISION_CAP = 15 digits.
     """
 
     h0: float
     n_max: int = 8
     max_h_refinements: int = 8
-    h_shrink_factor: float = 0.5
     min_agree_digits: int = 2
-    precision_cap: int = 15
 
     def __post_init__(self):
         if not (isinstance(self.h0, (int, float)) and math.isfinite(self.h0) and self.h0 > 0):
@@ -107,12 +112,8 @@ class BlendConfig:
             raise ValueError(f"n_max must be an integer in [2, {ORDER_CAP}], got {self.n_max!r}")
         if not isinstance(self.max_h_refinements, int) or self.max_h_refinements < 0:
             raise ValueError(f"max_h_refinements must be >= 0, got {self.max_h_refinements!r}")
-        if not 0.0 < self.h_shrink_factor < 1.0:
-            raise ValueError(f"h_shrink_factor must lie in (0, 1), got {self.h_shrink_factor!r}")
-        if not isinstance(self.min_agree_digits, int) or self.min_agree_digits < 1:
-            raise ValueError(f"min_agree_digits must be >= 1, got {self.min_agree_digits!r}")
-        if not isinstance(self.precision_cap, int) or self.precision_cap < self.min_agree_digits:
-            raise ValueError("precision_cap must be an integer >= min_agree_digits")
+        if not isinstance(self.min_agree_digits, int) or not 1 <= self.min_agree_digits <= PRECISION_CAP:
+            raise ValueError(f"min_agree_digits must be an integer in [1, {PRECISION_CAP}], got {self.min_agree_digits!r}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class BlendReport:
     When ``stabilized`` is true, ``value`` is the last partial sum rounded to
     the ``agreed_digits`` the rule certified; otherwise it is the raw last
     partial sum of the final trace, kept for diagnostics.  ``h_used`` equals
-    h0 * h_shrink_factor**refinements exactly.
+    h0 * H_SHRINK_FACTOR**refinements exactly.
     """
 
     value: float
@@ -144,40 +145,32 @@ def run_blend(
     """Run partial sums at h0, accepting when the last two stabilize.
 
     Each attempt performs exactly n_max + 1 fresh oracle evaluations; a run
-    with r refinements therefore costs (r+1)*(n_max+1).  Cached values are not
-    reused across refinements (the grids share only theta itself).  Non-finite
-    partial sums count as zero agreement and trigger refinement rather than
-    aborting.
+    with r refinements therefore costs (r+1)*(n_max+1).  Attempt r steps by
+    h0 * H_SHRINK_FACTOR**r, with H_SHRINK_FACTOR = 0.5, and agreement counts
+    at most PRECISION_CAP = 15 digits.  Values are not reused across
+    refinements, although each halved grid repeats half of the previous one
+    bit for bit.  Non-finite partial sums count as zero agreement and trigger
+    refinement rather than aborting.
     """
     start_count = oracle.eval_count
-    digits = 0
-    trace = None
-    h = config.h0
     for attempt in range(config.max_h_refinements + 1):
-        h = config.h0 * config.h_shrink_factor**attempt
+        h = config.h0 * H_SHRINK_FACTOR**attempt
         trace = blend_partial_sums(oracle, theta, h, config.n_max, max_workers=max_workers)
         previous, last = trace.deltas[-2], trace.deltas[-1]
         if math.isfinite(previous) and math.isfinite(last):
-            digits = agreed_significant_digits(previous, last, config.precision_cap)
+            digits = agreed_significant_digits(previous, last)
         else:
             digits = 0
-        if digits >= config.min_agree_digits:
-            return BlendReport(
-                value=round_to_digits(last, digits),
-                agreed_digits=digits,
-                h_used=h,
-                trace=trace,
-                refinements=attempt,
-                stabilized=True,
-                eval_count=oracle.eval_count - start_count,
-            )
+        stabilized = digits >= config.min_agree_digits
+        if stabilized:
+            break
     return BlendReport(
-        value=trace.deltas[-1],
+        value=round_to_digits(last, digits) if stabilized else last,
         agreed_digits=digits,
         h_used=h,
         trace=trace,
-        refinements=config.max_h_refinements,
-        stabilized=False,
+        refinements=attempt,
+        stabilized=stabilized,
         eval_count=oracle.eval_count - start_count,
     )
 
@@ -194,6 +187,8 @@ class DirectionSpec:
         object.__setattr__(self, "direction", direction)
         if not direction:
             raise ValueError("direction must have at least one component")
+        if not all(math.isfinite(v) for v in direction):
+            raise ValueError(f"direction components must be finite, got {direction!r}")
         if self.normalized:
             norm = math.sqrt(math.fsum(v * v for v in direction))
             if abs(norm - 1.0) > _NORM_TOL:

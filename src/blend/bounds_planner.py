@@ -30,6 +30,7 @@ unknown-envelope case.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 BOUND_FORMULAS = ("lemma2", "eq12")
@@ -148,7 +149,8 @@ def solve_k_exact_h(
     """Solve bound(n, h) = 10**-(k_digits+1) for h inside the valid domain.
 
     The returned step makes the order-n approximation exact in at least the
-    first ``k_digits`` digits under the envelope.  The bound is smooth and
+    first ``k_digits`` digits under the envelope.  The target must be a
+    normal double, so ``k_digits`` is at most 306.  The bound is smooth and
     strictly increasing in h on (0, 1/(2*b*e)), so plain bracketed bisection
     suffices; the root satisfies |bound(h*) - target| <= 1e-3 * target.
     """
@@ -156,6 +158,8 @@ def solve_k_exact_h(
         raise ValueError(f"k_digits must be an integer >= 1, got {k_digits!r}")
     _check_formula(formula)
     target = 10.0 ** (-(k_digits + 1))
+    if target < sys.float_info.min:
+        raise ValueError(f"k_digits={k_digits} puts the target 10**-{k_digits + 1} below the normal doubles")
 
     def bound_at(h: float) -> float:
         return remainder_bound(envelope, n, h, formula).bound

@@ -7,10 +7,10 @@ the built-in reference tables and audit them), ``queue`` (tandem-queue
 blocking-probability sensitivity).
 
 Exit codes: 0 success/stabilized, 2 not stabilized, 64 usage error, 70
-runtime (oracle) failure.  Output formats: human table (default), csv, json;
-identical invocations produce byte-identical output.  The BLEND_THREADS
-environment variable caps concurrent oracle evaluations (0 = serial) without
-affecting any output byte.
+runtime failure (an oracle evaluation or the queue's stationary solve).
+Output formats: human table (default), csv, json; identical invocations
+produce byte-identical output.  The BLEND_THREADS environment variable caps
+concurrent oracle evaluations (0 = serial) without affecting any output byte.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from typing import Sequence
 import click
 
 from . import __version__
-from .blend_driver import BlendConfig, BlendReport, DirectionSpec, directional_oracle, run_blend
+from .blend_driver import PRECISION_CAP, BlendConfig, BlendReport, DirectionSpec, directional_oracle, run_blend
 from .bounds_planner import BOUND_FORMULAS, GrowthEnvelope, h_domain, solve_k_exact_h
 from .expressions import ExpressionError, compile_expression
 from .models import (
     CATALOG,
+    SingularGeneratorError,
     TandemQueueModel,
     build_generator,  # noqa: F401  unused here; perfbench/spans.py wraps it under this name
     quadratic_form,
@@ -54,8 +55,7 @@ def _driver_options(fn):
     fn = click.option("--h0", type=float, default=0.01, show_default=True, help="Initial step size.")(fn)
     fn = click.option("--n-max", type=click.IntRange(2, ORDER_CAP), default=8, show_default=True, help="Truncation order.")(fn)
     fn = click.option("--refinements", type=click.IntRange(min=0), default=8, show_default=True, help="Maximum step refinements.")(fn)
-    fn = click.option("--no-refine", is_flag=True, help="Disable step refinement (same as --refinements 0).")(fn)
-    fn = click.option("--min-digits", type=click.IntRange(min=1), default=2, show_default=True, help="Digits of agreement required to stabilize.")(fn)
+    fn = click.option("--min-digits", type=click.IntRange(1, PRECISION_CAP), default=2, show_default=True, help="Digits of agreement required to stabilize.")(fn)
     return fn
 
 
@@ -73,43 +73,45 @@ def _emit(payload: dict, fmt: str, out_path: str | None, csv_rows) -> None:
         click.echo(text, nl=False)
 
 
-def _trace_rows(payload: dict):
-    return payload["trace"]
-
-
-def _report_payload(report: BlendReport) -> dict:
-    return {
-        "value": report.value if _finite(report.value) else None,
-        "agreed_digits": report.agreed_digits,
-        "stabilized": report.stabilized,
-        "h_used": report.h_used,
-        "refinements": report.refinements,
-        "eval_count": report.eval_count,
-    }
-
-
-def _run_payload(command: str, config_payload: dict, report: BlendReport, notes: list[str]) -> dict:
-    trace_rows = [{"N": i + 1, "delta": d if _finite(d) else None} for i, d in enumerate(report.trace.deltas)]
-    return {
-        "command": command,
-        "config": config_payload,
-        "trace": trace_rows,
-        "report": _report_payload(report),
-        "notes": notes,
-    }
-
-
-def _finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
-def _build_config(h0: float, n_max: int, refinements: int, no_refine: bool, min_digits: int) -> BlendConfig:
-    if no_refine:
-        refinements = 0
+def _build_config(h0: float, n_max: int, refinements: int, min_digits: int) -> BlendConfig:
     try:
         return BlendConfig(h0=h0, n_max=n_max, max_h_refinements=refinements, min_agree_digits=min_digits)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+
+
+def _emit_run(
+    command: str, inputs: dict, config: BlendConfig, report: BlendReport, notes: list[str], fmt: str, out_path: str | None, **extra
+) -> int:
+    """Write one driver run and return its exit code.
+
+    The record's keys, in order: command, config (``inputs``, then the four
+    driver settings), trace, report, notes, then ``extra``.  Non-finite
+    partial sums and values are written as null.
+    """
+    payload = {
+        "command": command,
+        "config": {
+            **inputs,
+            "h0": config.h0,
+            "n_max": config.n_max,
+            "max_refinements": config.max_h_refinements,
+            "min_digits": config.min_agree_digits,
+        },
+        "trace": [{"N": i + 1, "delta": d if math.isfinite(d) else None} for i, d in enumerate(report.trace.deltas)],
+        "report": {
+            "value": report.value if math.isfinite(report.value) else None,
+            "agreed_digits": report.agreed_digits,
+            "stabilized": report.stabilized,
+            "h_used": report.h_used,
+            "refinements": report.refinements,
+            "eval_count": report.eval_count,
+        },
+        "notes": notes,
+        **extra,
+    }
+    _emit(payload, fmt, out_path, lambda p: p["trace"])
+    return EXIT_OK if report.stabilized else EXIT_NOT_STABILIZED
 
 
 @click.group(name="blend")
@@ -123,12 +125,14 @@ def cli() -> None:
 @click.option("--theta", type=float, default=0.0, show_default=True, help="Expansion point.")
 @_driver_options
 @_format_options
-def cmd_diff(function, theta, h0, n_max, refinements, no_refine, min_digits, fmt, out_path):
+def cmd_diff(function, theta, fmt, out_path, **driver):
     """Differentiate a catalog function or an expression in theta.
 
     FUNCTION is a catalog name (sin, quartic5) or an arithmetic expression
     such as "theta^2*sin(theta)".  Exits 0 when stabilized, 2 otherwise.
     """
+    if not math.isfinite(theta):
+        raise click.UsageError(f"--theta must be a finite real, got {theta!r}")
     notes: list[str] = []
     entry = CATALOG.get(function)
     if entry is not None:
@@ -141,7 +145,7 @@ def cmd_diff(function, theta, h0, n_max, refinements, no_refine, min_digits, fmt
             raise click.UsageError(f"unknown function {function!r}: {exc}") from exc
         oracle = FunctionOracle(compiled, parallel_safe=True, name="expression")
         envelope = None
-    config = _build_config(h0, n_max, refinements, no_refine, min_digits)
+    config = _build_config(**driver)
     report = run_blend(oracle, theta, config)
     if envelope is not None and report.refinements == 0 and config.h0 >= h_domain(envelope):
         notes.append(
@@ -149,21 +153,7 @@ def cmd_diff(function, theta, h0, n_max, refinements, no_refine, min_digits, fmt
             f"{h_domain(envelope):.6g} for {function}; digit agreement at this step "
             "does not certify correctness"
         )
-    payload = _run_payload(
-        "diff",
-        {
-            "function": function,
-            "theta": theta,
-            "h0": config.h0,
-            "n_max": config.n_max,
-            "max_refinements": config.max_h_refinements,
-            "min_digits": config.min_agree_digits,
-        },
-        report,
-        notes,
-    )
-    _emit(payload, fmt, out_path, _trace_rows)
-    return EXIT_OK if report.stabilized else EXIT_NOT_STABILIZED
+    return _emit_run("diff", {"function": function, "theta": theta}, config, report, notes, fmt, out_path)
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -173,6 +163,8 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
         raise click.UsageError(f"{flag} expects a comma-separated list of reals: {exc}") from exc
     if not values:
         raise click.UsageError(f"{flag} expects at least one value")
+    if not all(math.isfinite(v) for v in values):
+        raise click.UsageError(f"{flag} expects finite reals, got {text!r}")
     return values
 
 
@@ -183,7 +175,7 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
 @click.option("--normalize", is_flag=True, help="Normalize the direction to unit length first.")
 @_driver_options
 @_format_options
-def cmd_direction(a_text, theta_text, v_text, normalize, h0, n_max, refinements, no_refine, min_digits, fmt, out_path):
+def cmd_direction(a_text, theta_text, v_text, normalize, fmt, out_path, **driver):
     """Directional derivative of phi(theta) = sum_i a_i*theta_i^2 along v.
 
     The run differentiates the scalar restriction g(t) = phi(theta + t*v) at
@@ -206,27 +198,12 @@ def cmd_direction(a_text, theta_text, v_text, normalize, h0, n_max, refinements,
         raise click.UsageError(str(exc)) from exc
     quadratic = quadratic_form(coeffs)
     oracle = directional_oracle(quadratic.evaluate, theta, spec, parallel_safe=True)
-    config = _build_config(h0, n_max, refinements, no_refine, min_digits)
+    config = _build_config(**driver)
     report = run_blend(oracle, 0.0, config)
     analytic = quadratic.reference_derivative(theta, spec.direction)
-    payload = _run_payload(
-        "direction",
-        {
-            "dimension": len(coeffs),
-            "a": list(coeffs),
-            "theta": list(theta),
-            "v": list(spec.direction),
-            "h0": config.h0,
-            "n_max": config.n_max,
-            "max_refinements": config.max_h_refinements,
-            "min_digits": config.min_agree_digits,
-        },
-        report,
-        [],
-    )
-    payload["analytic_reference"] = analytic
-    _emit(payload, fmt, out_path, _trace_rows)
-    return EXIT_OK if report.stabilized else EXIT_NOT_STABILIZED
+    inputs = {"dimension": len(coeffs), "a": list(coeffs), "theta": list(theta), "v": list(spec.direction)}
+    reference = analytic if math.isfinite(analytic) else None
+    return _emit_run("direction", inputs, config, report, [], fmt, out_path, analytic_reference=reference)
 
 
 @cli.command(name="plan")
@@ -244,9 +221,9 @@ def cmd_plan(magnitude, growth, order, digits, formula, fmt, out_path):
     """
     try:
         envelope = GrowthEnvelope(magnitude=magnitude, growth=growth)
-    except ValueError as exc:
+        plan = solve_k_exact_h(envelope, order, digits, formula)
+    except (ValueError, ArithmeticError) as exc:
         raise click.UsageError(str(exc)) from exc
-    plan = solve_k_exact_h(envelope, order, digits, formula)
     notes = []
     if plan.clipped:
         notes.append(
@@ -325,7 +302,7 @@ def cmd_tables(which, fmt, out_path):
 @click.option("--stationary-csv", type=click.Path(dir_okay=False, writable=True), default=None, help="Also export the base model's stationary vector as CSV.")
 @_driver_options
 @_format_options
-def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, h0, n_max, refinements, no_refine, min_digits, fmt, out_path):
+def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, fmt, out_path, **driver):
     """Sensitivity of the tandem-queue blocking probability to the arrival rate."""
     try:
         model = TandemQueueModel(arrival_rate=arrival_rate, mu1=mu1, mu2=mu2, cap1=cap1, cap2=cap2)
@@ -342,25 +319,10 @@ def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, h0, n_max, ref
         with open(stationary_csv, "w", encoding="utf-8", newline="") as handle:
             handle.write(render_csv(rows))
     oracle = queue_sensitivity_oracle(model)
-    config = _build_config(h0, n_max, refinements, no_refine, min_digits)
+    config = _build_config(**driver)
     report = run_blend(oracle, model.arrival_rate, config)
-    payload = _run_payload(
-        "queue",
-        {
-            "lambda": model.arrival_rate,
-            "mu1": model.mu1,
-            "mu2": model.mu2,
-            "cap1": model.cap1,
-            "cap2": model.cap2,
-            "h0": config.h0,
-            "n_max": config.n_max,
-            "max_refinements": config.max_h_refinements,
-            "min_digits": config.min_agree_digits,
-        },
-        report,
-        [],
-    )
-    payload["diagnostics"] = {
+    inputs = {"lambda": model.arrival_rate, "mu1": model.mu1, "mu2": model.mu2, "cap1": model.cap1, "cap2": model.cap2}
+    diagnostics = {
         "states": model.state_count,
         "stationary_residual_inf_norm": stationary.residual_norm,
         "stationary_sum": float(stationary.probabilities.sum()),
@@ -368,8 +330,7 @@ def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, h0, n_max, ref
             stationary.probabilities[model.state_index(model.cap1, 0) : model.state_index(model.cap1, model.cap2) + 1].sum()
         ),
     }
-    _emit(payload, fmt, out_path, _trace_rows)
-    return EXIT_OK if report.stabilized else EXIT_NOT_STABILIZED
+    return _emit_run("queue", inputs, config, report, [], fmt, out_path, diagnostics=diagnostics)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -383,7 +344,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.exit_code)
     except click.Abort:
         return 130
-    except OracleEvaluationError as exc:
+    except (OracleEvaluationError, SingularGeneratorError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_RUNTIME
     return int(result) if isinstance(result, int) else EXIT_OK

@@ -11,7 +11,7 @@ reproduces are reported as mismatches rather than papered over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .blend_driver import BlendConfig, DirectionSpec, directional_oracle, run_blend
 from .models import CATALOG, TandemQueueModel, blocking_probability, quadratic_form, queue_sensitivity_oracle
@@ -196,24 +196,8 @@ def _computed_reference(number: int) -> float:
         return quadratic.reference_derivative(DIRECTIONAL_THETA, DIRECTIONAL_DIRECTION)
     if number == 5:
         step = 1e-5
-        lo = blocking_probability(
-            TandemQueueModel(
-                arrival_rate=QUEUE_MODEL.arrival_rate - step,
-                mu1=QUEUE_MODEL.mu1,
-                mu2=QUEUE_MODEL.mu2,
-                cap1=QUEUE_MODEL.cap1,
-                cap2=QUEUE_MODEL.cap2,
-            )
-        )
-        hi = blocking_probability(
-            TandemQueueModel(
-                arrival_rate=QUEUE_MODEL.arrival_rate + step,
-                mu1=QUEUE_MODEL.mu1,
-                mu2=QUEUE_MODEL.mu2,
-                cap1=QUEUE_MODEL.cap1,
-                cap2=QUEUE_MODEL.cap2,
-            )
-        )
+        lo = blocking_probability(replace(QUEUE_MODEL, arrival_rate=QUEUE_MODEL.arrival_rate - step))
+        hi = blocking_probability(replace(QUEUE_MODEL, arrival_rate=QUEUE_MODEL.arrival_rate + step))
         return (hi - lo) / (2.0 * step)
     raise ValueError(f"no reference table {number}")
 

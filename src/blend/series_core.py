@@ -60,21 +60,6 @@ def _check_step(h: float) -> float:
     return h
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k).
-
-    Exactness matters: the weights alternate in sign and any rounding in the
-    coefficients leaks straight into the collapsed stencil.
-    """
-    if not isinstance(n, int) or not isinstance(k, int) or isinstance(n, bool) or isinstance(k, bool):
-        raise TypeError("binomial expects integers")
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binomial requires 0 <= k <= n, got n={n}, k={k}")
-    if n > ORDER_CAP:
-        raise OrderCapError(f"order {n} too large for exact weights (cap {ORDER_CAP})")
-    return math.comb(n, k)
-
-
 @dataclass(frozen=True)
 class StencilWeights:
     """Collapsed grid-point coefficients of the order-N truncated series.
@@ -187,8 +172,9 @@ def operator_power(
 ) -> OperatorPowerResult:
     """Evaluate (J - T_h)^n phi(theta) = sum_k (-1)^k C(n,k) phi(theta + k*h).
 
-    Consumes exactly n+1 fresh oracle evaluations, or none when ``cache``
-    (pre-evaluated phi(theta + k*h) for k = 0..n, in slot order) is supplied.
+    Consumes exactly n+1 fresh oracle evaluations, made like the grid of
+    :func:`blend_partial_sums`, or none when ``cache`` (pre-evaluated
+    phi(theta + k*h) for k = 0..n, in slot order) is supplied.
     On a polynomial of degree < n the alternating binomial row annihilates the
     value, so the result sits at cancellation level.
     """
@@ -199,7 +185,7 @@ def operator_power(
             raise ValueError(f"cache must cover k=0..{n}, got {len(cache)} values")
         values = list(cache[: n + 1])
     else:
-        values = [_evaluate_at(oracle, theta, h, k) for k in range(n + 1)]
+        values = _evaluate_grid(oracle, theta, h, n, max_workers=None)
     coeffs = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
     return OperatorPowerResult(n=n, value=compensated_dot(coeffs, values))
 
@@ -267,20 +253,11 @@ def _evaluate_grid(oracle: FunctionOracle, theta, h: float, n_max: int, max_work
     if not oracle.parallel_safe or workers <= 1:
         # Strictly sequential in increasing k for oracles that demand it.
         return [_evaluate_at(oracle, theta, h, k) for k in ks]
-    values: list = [None] * (n_max + 1)
-    errors: dict[int, OracleEvaluationError] = {}
-
-    def run(k: int) -> None:
-        try:
-            values[k] = _evaluate_at(oracle, theta, h, k)
-        except OracleEvaluationError as exc:
-            errors[k] = exc
-
+    # Leaving the pool waits for every slot; reading in slot order raises the
+    # lowest failing k.  pool.map would cancel pending slots on an error.
     with ThreadPoolExecutor(max_workers=min(workers, n_max + 1)) as pool:
-        list(pool.map(run, ks))
-    if errors:
-        raise errors[min(errors)]  # lowest failing k, for determinism
-    return values
+        futures = [pool.submit(_evaluate_at, oracle, theta, h, k) for k in ks]
+        return [f.result() for f in futures]
 
 
 def blend_partial_sums(

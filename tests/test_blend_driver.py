@@ -19,13 +19,13 @@ from blend import (
     round_to_digits,
     run_blend,
 )
+from blend.blend_driver import H_SHRINK_FACTOR, PRECISION_CAP
 from blend.models import CATALOG
 
 
 class TestAgreedDigits:
     def test_identical_values_hit_cap(self):
-        assert agreed_significant_digits(3.25, 3.25) == 15
-        assert agreed_significant_digits(3.25, 3.25, precision_cap=7) == 7
+        assert agreed_significant_digits(3.25, 3.25) == PRECISION_CAP == 15
 
     def test_sign_disagreement(self):
         assert agreed_significant_digits(1.0, -1.0) == 0
@@ -51,8 +51,9 @@ class TestAgreedDigits:
         assert agreed_significant_digits(1.0, math.nan) == 0
 
     def test_cap_validation(self):
-        with pytest.raises(ValueError):
-            agreed_significant_digits(1.0, 2.0, precision_cap=0)
+        # Values one ulp apart agree to more digits than a double holds; the
+        # count stops at the cap for them too, not only for identical values.
+        assert agreed_significant_digits(1.0, 1.0 + 2.0**-52) == PRECISION_CAP
 
     @given(
         a=st.floats(min_value=1e-6, max_value=1e6),
@@ -103,8 +104,8 @@ class TestRounding:
 class TestConfig:
     def test_defaults(self):
         config = BlendConfig(h0=0.01)
-        assert (config.n_max, config.max_h_refinements) == (8, 8)
-        assert (config.h_shrink_factor, config.min_agree_digits, config.precision_cap) == (0.5, 2, 15)
+        assert (config.n_max, config.max_h_refinements, config.min_agree_digits) == (8, 8, 2)
+        assert (H_SHRINK_FACTOR, PRECISION_CAP) == (0.5, 15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -112,13 +113,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             BlendConfig(h0=0.1, n_max=1)
         with pytest.raises(ValueError):
-            BlendConfig(h0=0.1, h_shrink_factor=1.0)
-        with pytest.raises(ValueError):
             BlendConfig(h0=0.1, max_h_refinements=-1)
         with pytest.raises(ValueError):
             BlendConfig(h0=0.1, min_agree_digits=0)
         with pytest.raises(ValueError):
-            BlendConfig(h0=0.1, min_agree_digits=9, precision_cap=8)
+            BlendConfig(h0=0.1, min_agree_digits=PRECISION_CAP + 1)
 
 
 class TestRunBlend:
@@ -168,9 +167,10 @@ class TestRunBlend:
 
     def test_h_used_formula_exact(self):
         oracle = FunctionOracle(math.sin)
-        config = BlendConfig(h0=0.7, h_shrink_factor=0.3, max_h_refinements=6)
+        config = BlendConfig(h0=3.0, max_h_refinements=6)
         report = run_blend(oracle, 0.0, config)
-        assert report.h_used == 0.7 * 0.3**report.refinements
+        assert report.refinements > 0
+        assert report.h_used == 3.0 * 0.5**report.refinements
 
     def test_non_finite_deltas_trigger_refinement(self):
         calls = []
@@ -222,6 +222,13 @@ class TestDirectional:
         unnormalized = DirectionSpec((3.0, 4.0), normalized=False)
         with pytest.raises(ValueError):
             directional_oracle(lambda p: 0.0, (0.0, 0.0), unnormalized)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_non_finite_direction_rejected(self, bad, normalized):
+        # abs(nan - 1) > tol is False, so the norm check alone accepts nan.
+        with pytest.raises(ValueError, match="finite"):
+            DirectionSpec((bad,), normalized=normalized)
 
     def test_axis_direction_reduces_to_partial(self):
         quadratic = quadratic_form((1.0, 2.0, 3.0))

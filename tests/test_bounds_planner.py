@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath as mp
 import pytest
@@ -171,6 +172,16 @@ class TestStepSolver:
             solve_k_exact_h(envelope, 2, 0)
         with pytest.raises(ValueError):
             solve_k_exact_h(envelope, 2, 4, "bogus")
+
+    def test_target_must_be_a_normal_double(self):
+        # 10**-307 is normal, 10**-308 is subnormal and 10**-401 underflows to 0.
+        envelope = GrowthEnvelope(1.0, 1.0)
+        plan = solve_k_exact_h(envelope, 40, 306)
+        assert plan.target >= sys.float_info.min
+        assert not plan.clipped
+        for k_digits in (307, 400):
+            with pytest.raises(ValueError, match="normal"):
+                solve_k_exact_h(envelope, 40, k_digits)
 
     @pytest.mark.parametrize("formula", ["lemma2", "eq12"])
     def test_each_step_evaluates_the_bound_once(self, monkeypatch, formula):

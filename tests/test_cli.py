@@ -52,12 +52,12 @@ class TestDiff:
         assert payload["report"]["eval_count"] == 9
 
     def test_unit_step_without_refinement_exits_2(self):
-        proc = run_cli("diff", "sin", "--theta", "0", "--h0", "1.0", "--no-refine")
+        proc = run_cli("diff", "sin", "--theta", "0", "--h0", "1.0", "--refinements", "0")
         assert proc.returncode == 2
         assert "stabilized: false" in proc.stdout
 
     def test_unit_step_carries_domain_caveat(self):
-        payload = run_json("diff", "sin", "--h0", "1.0", "--no-refine", expect_code=2)
+        payload = run_json("diff", "sin", "--h0", "1.0", "--refinements", "0", expect_code=2)
         assert any("certified-step limit" in note for note in payload["notes"])
 
     def test_quartic_stabilizes_to_160(self):
@@ -289,6 +289,53 @@ class TestOutputContracts:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["command"] == "plan"
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("diff", "sin", "--theta", "nan"), 64),
+            (("direction", "--a", "1", "--theta", "1", "--v", "nan"), 64),
+            (("direction", "--a", "1e308", "--theta", "1e308", "--v", "1"), 2),
+            (("queue", "--mu1", "1e300"), 70),
+            (("plan", "--M", "1", "--b", "1", "--N", "40", "--K", "400"), 64),
+            (("plan", "--M", "1e-300", "--b", "1e300", "--N", "1", "--K", "306"), 64),
+        ],
+    )
+    def test_exits_with_documented_code(self, args, code):
+        proc = run_cli(*args, "--format", "json")
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 2:
+            assert json.loads(proc.stdout)["analytic_reference"] is None
+        if code == 70:
+            assert proc.stderr.startswith("error: ")
+
+
+class TestRunRecords:
+    DRIVER_KEYS = ["h0", "n_max", "max_refinements", "min_digits"]
+
+    @pytest.mark.parametrize(
+        "args, input_keys, extra_keys",
+        [
+            (("diff", "sin", "--h0", "0.1"), ["function", "theta"], []),
+            (
+                ("direction", "--a", "1,2", "--theta", "1,1", "--v", "1,0"),
+                ["dimension", "a", "theta", "v"],
+                ["analytic_reference"],
+            ),
+            (("queue", "--cap1", "2", "--cap2", "2"), ["lambda", "mu1", "mu2", "cap1", "cap2"], ["diagnostics"]),
+        ],
+    )
+    def test_key_order(self, capsys, args, input_keys, extra_keys):
+        # Canonical JSON writes keys in construction order, so the order is
+        # part of the byte-stable output.
+        assert main([*args, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["command", "config", "trace", "report", "notes", *extra_keys]
+        assert list(payload["config"]) == input_keys + self.DRIVER_KEYS
+        assert list(payload["report"]) == ["value", "agreed_digits", "stabilized", "h_used", "refinements", "eval_count"]
 
 
 class TestThreadDeterminism:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,43 +16,11 @@ from blend import (
     FunctionOracle,
     OracleEvaluationError,
     OrderCapError,
-    binomial,
     blend_partial_sums,
     delta_from_cache,
     operator_power,
     stencil_weights,
 )
-
-
-def _pascal(n: int, k: int) -> int:
-    # Independent cross-check: Pascal-triangle recurrence, pure addition.
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[k]
-
-
-class TestBinomial:
-    def test_pascal_row(self):
-        assert [binomial(3, k) for k in range(4)] == [1, 3, 3, 1]
-
-    def test_identity_case(self):
-        assert binomial(0, 0) == 1
-
-    def test_large_value_cross_checked(self):
-        assert binomial(30, 15) == _pascal(30, 15) == 155117520
-
-    def test_order_cap(self):
-        with pytest.raises(OrderCapError, match="too large for exact weights"):
-            binomial(ORDER_CAP + 1, 1)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            binomial(3, 4)
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-        with pytest.raises(TypeError):
-            binomial(3.0, 1)  # type: ignore[arg-type]
 
 
 class TestStencilWeights:
@@ -270,6 +239,23 @@ class TestParallelism:
         with pytest.raises(OracleEvaluationError) as err:
             blend_partial_sums(oracle, 0.0, 0.1, 8, max_workers=4)
         assert err.value.index == 3
+
+    def test_parallel_failure_still_evaluates_every_slot(self):
+        # Slot 1 fails at once while later slots are slow, so slots are still
+        # queued when the failure is read; none of them may be dropped.
+        def slow_after_failure(t):
+            k = round(t / 0.1)
+            if k == 1:
+                raise RuntimeError("nope")
+            if k > 1:
+                time.sleep(0.02)
+            return t
+
+        oracle = FunctionOracle(slow_after_failure, parallel_safe=True)
+        with pytest.raises(OracleEvaluationError) as err:
+            blend_partial_sums(oracle, 0.0, 0.1, 8, max_workers=2)
+        assert err.value.index == 1
+        assert oracle.eval_count == 9
 
     def test_env_variable_controls_default(self, monkeypatch):
         monkeypatch.setenv("BLEND_THREADS", "notanumber")
