@@ -20,7 +20,6 @@ from .blend_driver import (
 from .bounds_planner import (
     BOUND_FORMULAS,
     GrowthEnvelope,
-    RemainderEstimate,
     StepPlan,
     h_domain,
     operator_power_bound,
@@ -44,7 +43,6 @@ from .models import (
 from .oracle import FunctionOracle, OracleEvaluationError
 from .series_core import (
     ORDER_CAP,
-    OperatorPowerResult,
     OrderCapError,
     PartialSumTrace,
     StencilWeights,
@@ -66,12 +64,10 @@ __all__ = [
     "DirectionSpec",
     "FunctionOracle",
     "GrowthEnvelope",
-    "OperatorPowerResult",
     "OracleEvaluationError",
     "OrderCapError",
     "ORDER_CAP",
     "PartialSumTrace",
-    "RemainderEstimate",
     "SingularGeneratorError",
     "StationaryDistribution",
     "StencilWeights",

@@ -177,10 +177,9 @@ def run_blend(
 
 @dataclass(frozen=True)
 class DirectionSpec:
-    """A direction in parameter space, with an explicit normalization claim."""
+    """A unit direction in parameter space; :meth:`unit` normalizes any vector."""
 
     direction: tuple[float, ...]
-    normalized: bool = True
 
     def __post_init__(self):
         direction = tuple(float(v) for v in self.direction)
@@ -189,18 +188,17 @@ class DirectionSpec:
             raise ValueError("direction must have at least one component")
         if not all(math.isfinite(v) for v in direction):
             raise ValueError(f"direction components must be finite, got {direction!r}")
-        if self.normalized:
-            norm = math.sqrt(math.fsum(v * v for v in direction))
-            if abs(norm - 1.0) > _NORM_TOL:
-                raise ValueError(f"direction declared normalized but |v| = {norm!r}")
+        norm = math.sqrt(math.fsum(v * v for v in direction))
+        if abs(norm - 1.0) > _NORM_TOL:
+            raise ValueError(f"direction is not normalized: |v| = {norm!r} (use DirectionSpec.unit)")
 
     @classmethod
     def unit(cls, vector: Sequence[float]) -> "DirectionSpec":
         """Normalize ``vector`` to Euclidean length 1."""
         norm = math.sqrt(math.fsum(float(v) * float(v) for v in vector))
         if norm == 0.0 or not math.isfinite(norm):
-            raise ValueError(f"cannot normalize vector with norm {norm!r}")
-        return cls(direction=tuple(float(v) / norm for v in vector), normalized=True)
+            raise ValueError(f"cannot normalize vector with norm {norm!r}; the norm must be finite and nonzero")
+        return cls(direction=tuple(float(v) / norm for v in vector))
 
 
 def directional_oracle(
@@ -218,8 +216,6 @@ def directional_oracle(
     theta + k*h*v.  The oracle-evaluation cost of a run is independent of the
     dimension of theta.
     """
-    if not direction.normalized:
-        raise ValueError("direction must be normalized (use DirectionSpec.unit)")
     anchor = tuple(float(v) for v in theta)
     vec = direction.direction
     if len(anchor) != len(vec):

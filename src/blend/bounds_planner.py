@@ -18,8 +18,10 @@ operator-power bound, but it is the form the classical worked step-size
 example solves, so it is kept available as "eq12".  Empirical domination
 tests (sin with M=b=1 at N=2, h=0.001 has true remainder h^2/3 ~ 3.3e-7
 versus a printed-form value of 1.2e-8) confirm only the 1/h-corrected form
-actually bounds the truncation error.  Every output records which formula
-was used.
+actually bounds the truncation error.  Every step plan records which formula
+was used.  Outside the open domain h < 1/(2*b*e) the geometric series
+diverges and the bound is ``math.inf`` rather than an error, so sweep tooling
+can probe the boundary; inside it the bound is never NaN.
 
 The envelope is a user input.  There is no automated estimation of (M, b)
 from samples: pretending to infer it would manufacture a false sense of
@@ -41,6 +43,7 @@ DOMAIN_EDGE_SAFETY = 0.99
 
 _BISECTION_MAX_ITER = 200
 _RESIDUAL_RTOL = 1e-3
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -62,23 +65,6 @@ class GrowthEnvelope:
         object.__setattr__(self, "growth", float(self.growth))
 
 
-@dataclass(frozen=True)
-class RemainderEstimate:
-    """Remainder bound for the order-N truncation at step h.
-
-    ``valid`` is True exactly when h lies inside the open domain
-    h < 1/(2*b*e); outside it the geometric series diverges and ``bound`` is
-    the infinite marker rather than an error, so sweep tooling can probe the
-    boundary.
-    """
-
-    n: int
-    h: float
-    bound: float
-    valid: bool
-    formula: str
-
-
 def _check_formula(formula: str) -> str:
     if formula not in BOUND_FORMULAS:
         raise ValueError(f"formula must be one of {BOUND_FORMULAS}, got {formula!r}")
@@ -90,14 +76,13 @@ def h_domain(envelope: GrowthEnvelope) -> float:
     return 1.0 / (2.0 * envelope.growth * math.e)
 
 
-def remainder_bound(
-    envelope: GrowthEnvelope, n: int, h: float, formula: str = "lemma2"
-) -> RemainderEstimate:
+def remainder_bound(envelope: GrowthEnvelope, n: int, h: float, formula: str = "lemma2") -> float:
     """Bound on |phi'(theta) - Delta(n, h) phi(theta)| under the envelope.
 
     "lemma2" is the provable bound (it carries the remainder's 1/h
     prefactor); "eq12" is the circulated display without it, kept for
-    reproducing the classical worked example.  See the module docstring.
+    reproducing the classical worked example.  Returns ``math.inf`` outside
+    the open domain h < 1/(2*b*e).  See the module docstring.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"order must be an integer >= 1, got {n!r}")
@@ -107,13 +92,21 @@ def remainder_bound(
     _check_formula(formula)
     x = 2.0 * h * envelope.growth * math.e
     if x >= 1.0:
-        return RemainderEstimate(n=n, h=h, bound=math.inf, valid=False, formula=formula)
+        return math.inf
     if formula == "lemma2":
         denom = (n + 1) ** 1.5 * h
     else:
         denom = 2.0 ** ((n + 1) / 2.0)
     bound = envelope.magnitude / (math.sqrt(2.0 * math.pi) * denom) * x ** (n + 1) / (1.0 - x)
-    return RemainderEstimate(n=n, h=h, bound=bound, valid=True, formula=formula)
+    if math.isfinite(bound):
+        return bound
+    # M/h overflowed while x**(n+1) underflowed (inf * 0 = NaN), or a partial
+    # product overflowed: the same formula in logarithms, with log(x) taken
+    # from its factors because x itself may have underflowed.
+    log_denom = 1.5 * math.log(n + 1) + math.log(h) if formula == "lemma2" else (n + 1) / 2.0 * math.log(2.0)
+    log_x = math.log(2.0 * math.e) + math.log(h) + math.log(envelope.growth)
+    log_bound = math.log(envelope.magnitude) - 0.5 * math.log(2.0 * math.pi) - log_denom + (n + 1) * log_x - math.log1p(-x)
+    return math.exp(log_bound) if log_bound < _LOG_MAX else math.inf
 
 
 def operator_power_bound(envelope: GrowthEnvelope, n: int, h: float) -> float:
@@ -161,27 +154,24 @@ def solve_k_exact_h(
     if target < sys.float_info.min:
         raise ValueError(f"k_digits={k_digits} puts the target 10**-{k_digits + 1} below the normal doubles")
 
-    def bound_at(h: float) -> float:
-        return remainder_bound(envelope, n, h, formula).bound
-
     # Each step evaluates the bound at one new point; the bound at ``best``
     # travels with it instead of being evaluated again.
     hi = DOMAIN_EDGE_SAFETY * h_domain(envelope)
-    hi_bound = bound_at(hi)
+    hi_bound = remainder_bound(envelope, n, hi, formula)
     if hi_bound < target:
         # Even near the domain edge the truncation is tighter than asked for.
         return StepPlan(h=hi, bound=hi_bound, target=target, formula=formula, clipped=True)
     lo = hi * 1e-12
-    lo_bound = bound_at(lo)
+    lo_bound = remainder_bound(envelope, n, lo, formula)
     while lo_bound > target:
         lo *= 0.5
         if lo < 5e-324:
             raise ArithmeticError("failed to bracket the step-size root")
-        lo_bound = bound_at(lo)
+        lo_bound = remainder_bound(envelope, n, lo, formula)
     best, best_bound = lo, lo_bound
     for _ in range(_BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        value = bound_at(mid)
+        value = remainder_bound(envelope, n, mid, formula)
         if value <= target:
             lo, best, best_bound = mid, mid, value
         else:

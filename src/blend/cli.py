@@ -6,8 +6,9 @@ Subcommands: ``diff`` (differentiate a catalog function or expression),
 the built-in reference tables and audit them), ``queue`` (tandem-queue
 blocking-probability sensitivity).
 
-Exit codes: 0 success/stabilized, 2 not stabilized, 64 usage error, 70
-runtime failure (an oracle evaluation or the queue's stationary solve).
+Exit codes: 0 success/stabilized, 2 not stabilized, 64 usage error (an
+output file that cannot be written included), 70 runtime failure (an oracle
+evaluation or the queue's stationary solve).
 Output formats: human table (default), csv, json; identical invocations
 produce byte-identical output.  The BLEND_THREADS environment variable caps
 concurrent oracle evaluations (0 = serial) without affecting any output byte.
@@ -23,12 +24,13 @@ import click
 
 from . import __version__
 from .blend_driver import PRECISION_CAP, BlendConfig, BlendReport, DirectionSpec, directional_oracle, run_blend
-from .bounds_planner import BOUND_FORMULAS, GrowthEnvelope, h_domain, solve_k_exact_h
+from .bounds_planner import BOUND_FORMULAS, DOMAIN_EDGE_SAFETY, GrowthEnvelope, h_domain, solve_k_exact_h
 from .expressions import ExpressionError, compile_expression
 from .models import (
     CATALOG,
     SingularGeneratorError,
     TandemQueueModel,
+    blocking_mass,
     build_generator,  # noqa: F401  unused here; perfbench/spans.py wraps it under this name
     quadratic_form,
     queue_sensitivity_oracle,
@@ -59,6 +61,16 @@ def _driver_options(fn):
     return fn
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        click.echo(f"error: cannot write {path}: {exc.strerror or exc}", err=True)
+        raise click.exceptions.Exit(EXIT_USAGE) from exc
+
+
 def _emit(payload: dict, fmt: str, out_path: str | None, csv_rows) -> None:
     if fmt == "json":
         text = canonical_json(payload) + "\n"
@@ -67,8 +79,7 @@ def _emit(payload: dict, fmt: str, out_path: str | None, csv_rows) -> None:
     else:
         text = render_table(payload)
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        _write_file(out_path, text)
     else:
         click.echo(text, nl=False)
 
@@ -228,7 +239,7 @@ def cmd_plan(magnitude, growth, order, digits, formula, fmt, out_path):
     if plan.clipped:
         notes.append(
             "target accuracy is looser than the bound anywhere in the step domain; "
-            "returning the domain edge shrunk by the 0.99 safety factor"
+            f"returning the domain edge shrunk by the {DOMAIN_EDGE_SAFETY:g} safety factor"
         )
     payload = {
         "command": "plan",
@@ -240,15 +251,7 @@ def cmd_plan(magnitude, growth, order, digits, formula, fmt, out_path):
         "clipped": plan.clipped,
         "notes": notes,
     }
-    _emit(payload, fmt, out_path, lambda p: [
-        {
-            "h_domain_limit": p["h_domain_limit"],
-            "h_star": p["h_star"],
-            "bound_at_h_star": p["bound_at_h_star"],
-            "target": p["target"],
-            "clipped": p["clipped"],
-        }
-    ])
+    _emit(payload, fmt, out_path, lambda p: [{k: v for k, v in p.items() if k not in ("command", "config", "notes")}])
     return EXIT_OK
 
 
@@ -272,24 +275,7 @@ def cmd_tables(which, fmt, out_path):
             raise click.UsageError(f"no reference table {numbers[0]}; choose 1-5 or 'all'")
     tables = [generate_table(number) for number in numbers]
     payload = {"command": "tables", "tables": tables}
-
-    def csv_rows(p):
-        rows = []
-        for table in p["tables"]:
-            for row in table["rows"]:
-                rows.append(
-                    {
-                        "table": table["table"],
-                        "N": row["N"],
-                        "computed": row["computed"],
-                        "expected": row["expected"],
-                        "abs_diff": row["abs_diff"],
-                        "match": row["match"],
-                    }
-                )
-        return rows
-
-    _emit(payload, fmt, out_path, csv_rows)
+    _emit(payload, fmt, out_path, lambda p: [{"table": t["table"], **row} for t in p["tables"] for row in t["rows"]])
     return EXIT_OK
 
 
@@ -316,8 +302,7 @@ def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, fmt, out_path,
             {"n1": n1, "n2": n2, "prob": float(stationary.probabilities[model.state_index(n1, n2)])}
             for n1, n2 in model.states()
         ]
-        with open(stationary_csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write(render_csv(rows))
+        _write_file(stationary_csv, render_csv(rows))
     oracle = queue_sensitivity_oracle(model)
     config = _build_config(**driver)
     report = run_blend(oracle, model.arrival_rate, config)
@@ -326,9 +311,7 @@ def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, fmt, out_path,
         "states": model.state_count,
         "stationary_residual_inf_norm": stationary.residual_norm,
         "stationary_sum": float(stationary.probabilities.sum()),
-        "blocking_probability": float(
-            stationary.probabilities[model.state_index(model.cap1, 0) : model.state_index(model.cap1, model.cap2) + 1].sum()
-        ),
+        "blocking_probability": blocking_mass(model, stationary.probabilities),
     }
     return _emit_run("queue", inputs, config, report, [], fmt, out_path, diagnostics=diagnostics)
 

@@ -25,14 +25,14 @@ from .oracle import FunctionOracle
 class AnalyticTestFunction:
     """A catalog entry: evaluator plus reference derivative.
 
-    For ``arity == 1`` the reference derivative maps a point to phi'(point);
-    for higher arity it maps (point, direction) to the directional derivative.
+    For a scalar entry the reference derivative maps a point to phi'(point);
+    for :func:`quadratic_form` it maps (point, direction) to the directional
+    derivative.
     ``envelope`` carries derivative-growth constants (M, b) when known, scoped
     to the catalog's standard experiment region.
     """
 
     name: str
-    arity: int
     evaluate: Callable
     reference_derivative: Callable
     envelope: GrowthEnvelope | None = None
@@ -48,7 +48,6 @@ def _quartic5(theta: float) -> float:
 
 SIN = AnalyticTestFunction(
     name="sin",
-    arity=1,
     evaluate=_sin,
     reference_derivative=math.cos,
     # |sin^(n)| <= 1 everywhere.
@@ -57,7 +56,6 @@ SIN = AnalyticTestFunction(
 
 QUARTIC5 = AnalyticTestFunction(
     name="quartic5",
-    arity=1,
     evaluate=_quartic5,
     reference_derivative=lambda theta: 20.0 * theta**3,
     # Valid near theta = 2 with steps up to 0.1: only derivatives 1..4 are
@@ -78,7 +76,6 @@ def exp_density(x: float = 1.0) -> AnalyticTestFunction:
     envelope = GrowthEnvelope(magnitude=1.0, growth=1.3) if x == 1.0 else None
     return AnalyticTestFunction(
         name=f"exp_density(x={x:g})",
-        arity=1,
         evaluate=lambda theta: theta * math.exp(-theta * x),
         reference_derivative=lambda theta: (1.0 - theta * x) * math.exp(-theta * x),
         envelope=envelope,
@@ -101,7 +98,6 @@ def quadratic_form(coefficients: Sequence[float]) -> AnalyticTestFunction:
 
     return AnalyticTestFunction(
         name=f"quadratic_form(m={len(coeffs)})",
-        arity=len(coeffs),
         evaluate=evaluate,
         reference_derivative=directional,
     )
@@ -369,15 +365,19 @@ def solve_stationary(model: TandemQueueModel) -> StationaryDistribution:
     return StationaryDistribution(probabilities=pi, residual_norm=residual)
 
 
+def blocking_mass(model: TandemQueueModel, probabilities: np.ndarray) -> float:
+    """Mass of a stationary vector on the states (cap1, 0..cap2), where station 1 is full."""
+    start = model.state_index(model.cap1, 0)
+    return float(np.sum(probabilities[start : start + model.cap2 + 1]))
+
+
 def blocking_probability(model: TandemQueueModel) -> float:
     """Stationary probability that station 1 is full (arrivals are lost).
 
     Poisson arrivals see time averages, so this is also the long-run fraction
     of arrivals rejected.
     """
-    pi = solve_stationary(model).probabilities
-    start = model.state_index(model.cap1, 0)
-    return float(np.sum(pi[start : start + model.cap2 + 1]))
+    return blocking_mass(model, solve_stationary(model).probabilities)
 
 
 def queue_sensitivity_oracle(base: TandemQueueModel) -> FunctionOracle:

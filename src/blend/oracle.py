@@ -54,12 +54,8 @@ class FunctionOracle:
 
     @property
     def eval_count(self) -> int:
-        """Number of ``evaluate`` invocations since construction or reset."""
+        """Number of ``evaluate`` invocations since construction."""
         return self._count
-
-    def reset_count(self) -> None:
-        with self._lock:
-            self._count = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or getattr(self._fn, "__name__", "fn")

@@ -202,7 +202,7 @@ def _computed_reference(number: int) -> float:
     raise ValueError(f"no reference table {number}")
 
 
-def generate_table(number: int, *, max_workers: int | None = None) -> dict:
+def generate_table(number: int) -> dict:
     """Regenerate one table and audit it against the stored expectations.
 
     One fixed-step run, as in the published experiments (no refinement): its
@@ -211,7 +211,7 @@ def generate_table(number: int, *, max_workers: int | None = None) -> dict:
     spec = TABLES[number]
     oracle, theta = _table_oracle(number)
     config = BlendConfig(h0=spec.regeneration_h, n_max=N_MAX, max_h_refinements=0)
-    report = run_blend(oracle, theta, config, max_workers=max_workers)
+    report = run_blend(oracle, theta, config)
     rows = []
     for i, expected in enumerate(spec.published_rows):
         computed = report.trace.deltas[i]

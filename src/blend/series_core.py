@@ -154,14 +154,6 @@ def compensated_dot(coeffs: Sequence, values: Sequence) -> object:
     return _neumaier(c * v for c, v in zip(coeffs, values))
 
 
-@dataclass(frozen=True)
-class OperatorPowerResult:
-    """Value of (J - T_h)^n phi(theta) as a single compensated sum."""
-
-    n: int
-    value: float
-
-
 def operator_power(
     oracle: FunctionOracle,
     theta: float,
@@ -169,8 +161,8 @@ def operator_power(
     n: int,
     *,
     cache: Sequence | None = None,
-) -> OperatorPowerResult:
-    """Evaluate (J - T_h)^n phi(theta) = sum_k (-1)^k C(n,k) phi(theta + k*h).
+) -> object:
+    """(J - T_h)^n phi(theta) = sum_k (-1)^k C(n,k) phi(theta + k*h), as one compensated sum.
 
     Consumes exactly n+1 fresh oracle evaluations, made like the grid of
     :func:`blend_partial_sums`, or none when ``cache`` (pre-evaluated
@@ -187,7 +179,7 @@ def operator_power(
     else:
         values = _evaluate_grid(oracle, theta, h, n, max_workers=None)
     coeffs = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
-    return OperatorPowerResult(n=n, value=compensated_dot(coeffs, values))
+    return compensated_dot(coeffs, values)
 
 
 @dataclass(frozen=True)
@@ -203,7 +195,6 @@ class PartialSumTrace:
     h: float
     deltas: tuple[float, ...]
     cached_values: tuple[float, ...]
-    eval_count_used: int
 
 
 def delta_from_cache(weights: StencilWeights, cached_values: Sequence, h: float) -> float:
@@ -287,10 +278,4 @@ def blend_partial_sums(
     deltas = tuple(
         delta_from_cache(stencil_weights(n), values, h) for n in range(1, n_max + 1)
     )
-    return PartialSumTrace(
-        theta=theta,
-        h=h,
-        deltas=deltas,
-        cached_values=tuple(values),
-        eval_count_used=n_max + 1,
-    )
+    return PartialSumTrace(theta=theta, h=h, deltas=deltas, cached_values=tuple(values))

@@ -184,11 +184,11 @@ def test_criterion_6_bound_domination():
                 h_mp = mp.mpf(repr(h))
                 for n in range(1, 13):
                     remainder = abs(1 - _delta_mp(mp.sin, mp.mpf(0), h_mp, n))
-                    assert remainder <= remainder_bound(envelope, n, h).bound
+                    assert remainder <= remainder_bound(envelope, n, h)
                 for n in range(1, 21):
                     oracle = FunctionOracle(mp.sin, name="sin-mp")
                     power = operator_power(oracle, mp.mpf(0), h_mp, n)
-                    assert abs(power.value) <= operator_power_bound(envelope, n, h)
+                    assert abs(power) <= operator_power_bound(envelope, n, h)
         # quartic at 2: envelope (120, 2.4); rational arithmetic is exact.
         envelope = GrowthEnvelope(120.0, 2.4)
         quartic = lambda t: 5 * t**4
@@ -201,11 +201,11 @@ def test_criterion_6_bound_domination():
             for n in range(1, 13):
                 delta = -sum(w * v for w, v in zip(weights_by_n[n], values)) / h_frac
                 remainder = abs(delta - 160)
-                assert float(remainder) <= remainder_bound(envelope, n, h).bound
+                assert float(remainder) <= remainder_bound(envelope, n, h)
             for n in range(1, 21):
                 oracle = FunctionOracle(quartic, name="quartic-exact")
                 power = operator_power(oracle, Fraction(2), h_frac, n)
-                assert abs(float(power.value)) <= operator_power_bound(envelope, n, h)
+                assert abs(float(power)) <= operator_power_bound(envelope, n, h)
 
 
 def test_criterion_7_polynomial_exactness_and_null_space():
@@ -246,7 +246,7 @@ def test_criterion_7_polynomial_exactness_and_null_space():
                 for n in range(degree + 1, 11):
                     power = operator_power(oracle, theta, h, n, cache=values)
                     scale = sum(math.comb(n, k) * abs(values[k]) for k in range(n + 1))
-                    assert abs(power.value) <= 1e-8 * scale
+                    assert abs(power) <= 1e-8 * scale
 
 
 def test_criterion_8_closed_form_equivalence():
@@ -260,7 +260,7 @@ def test_criterion_8_closed_form_equivalence():
                         values = [oracle.evaluate(t0 + k * hv) for k in range(16)]
                         q = 1 - mp.exp(-hv * xv)
                         for n in range(1, 16):
-                            computed = operator_power(oracle, t0, hv, n, cache=values).value
+                            computed = operator_power(oracle, t0, hv, n, cache=values)
                             closed = t0 * mp.exp(-t0 * xv) * q**n - n * hv * mp.exp(
                                 -(t0 + hv) * xv
                             ) * q ** (n - 1)

@@ -219,16 +219,14 @@ class TestDirectional:
             DirectionSpec((1.0, 1.0))
         spec = DirectionSpec.unit((1.0, 1.0))
         assert spec.direction == pytest.approx((math.sqrt(0.5), math.sqrt(0.5)))
-        unnormalized = DirectionSpec((3.0, 4.0), normalized=False)
-        with pytest.raises(ValueError):
-            directional_oracle(lambda p: 0.0, (0.0, 0.0), unnormalized)
+        assert DirectionSpec.unit((3.0, 4.0)).direction == (0.6, 0.8)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("normalized", [True, False])
-    def test_non_finite_direction_rejected(self, bad, normalized):
+    @pytest.mark.parametrize("via_unit", [True, False])
+    def test_non_finite_direction_rejected(self, bad, via_unit):
         # abs(nan - 1) > tol is False, so the norm check alone accepts nan.
         with pytest.raises(ValueError, match="finite"):
-            DirectionSpec((bad,), normalized=normalized)
+            DirectionSpec.unit((bad,)) if via_unit else DirectionSpec((bad,))
 
     def test_axis_direction_reduces_to_partial(self):
         quadratic = quadratic_form((1.0, 2.0, 3.0))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blend import (
+    BOUND_FORMULAS,
     FunctionOracle,
     GrowthEnvelope,
     h_domain,
@@ -57,37 +58,35 @@ class TestRemainderBound:
             expected = float(
                 1 / (mp.sqrt(2 * mp.pi) * mp.mpf(9) ** mp.mpf("1.5") * h) * x**9 / (1 - x)
             )
-        estimate = remainder_bound(GrowthEnvelope(1.0, 1.0), 8, 0.01)
-        assert estimate.valid
-        assert estimate.bound == pytest.approx(expected, rel=1e-13)
-        assert estimate.bound == pytest.approx(6.4825e-12, rel=1e-4)
+        bound = remainder_bound(GrowthEnvelope(1.0, 1.0), 8, 0.01)
+        assert bound == pytest.approx(expected, rel=1e-13)
+        assert bound == pytest.approx(6.4825e-12, rel=1e-4)
 
     def test_printed_form_value(self):
         # The h-less printed display, reachable through the "eq12" selector
         # family, solves the classical worked example; its value at the same
         # point differs from the provable bound by (N+1)^1.5 * h / 2^((N+1)/2).
-        lemma2 = remainder_bound(GrowthEnvelope(1.0, 1.0), 8, 0.01).bound
-        eq12 = remainder_bound(GrowthEnvelope(1.0, 1.0), 8, 0.01, "eq12").bound
+        lemma2 = remainder_bound(GrowthEnvelope(1.0, 1.0), 8, 0.01)
+        eq12 = remainder_bound(GrowthEnvelope(1.0, 1.0), 8, 0.01, "eq12")
         assert eq12 == pytest.approx(lemma2 * 27.0 * 0.01 / 2.0**4.5, rel=1e-12)
 
     def test_invalid_at_and_beyond_limit(self):
         envelope = GrowthEnvelope(1.0, 1.0)
         limit = h_domain(envelope)
-        at_limit = remainder_bound(envelope, 3, limit)
-        assert not at_limit.valid and math.isinf(at_limit.bound)
-        inside = remainder_bound(envelope, 3, limit * (1 - 1e-12))
-        assert inside.valid and math.isfinite(inside.bound)
+        assert remainder_bound(envelope, 3, limit) == math.inf
+        assert remainder_bound(envelope, 3, 2.0 * limit) == math.inf
+        assert math.isfinite(remainder_bound(envelope, 3, limit * (1 - 1e-12)))
 
     def test_strictly_decreasing_in_order(self):
         envelope = GrowthEnvelope(2.0, 1.5)
-        bounds = [remainder_bound(envelope, n, 0.01).bound for n in range(1, 13)]
+        bounds = [remainder_bound(envelope, n, 0.01) for n in range(1, 13)]
         assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_strictly_increasing_in_step(self):
         envelope = GrowthEnvelope(2.0, 1.5)
         limit = h_domain(envelope)
         steps = [limit * f for f in (0.05, 0.1, 0.2, 0.4, 0.8, 0.95)]
-        bounds = [remainder_bound(envelope, 4, h).bound for h in steps]
+        bounds = [remainder_bound(envelope, 4, h) for h in steps]
         assert all(b1 < b2 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_formula_selector(self):
@@ -95,10 +94,34 @@ class TestRemainderBound:
         lemma2 = remainder_bound(envelope, 2, 0.01, "lemma2")
         eq12 = remainder_bound(envelope, 2, 0.01, "eq12")
         # selector swaps (N+1)^1.5 * h for 2^((N+1)/2)
-        assert eq12.bound == pytest.approx(lemma2.bound * 3**1.5 * 0.01 / 2**1.5, rel=1e-12)
-        assert lemma2.formula == "lemma2" and eq12.formula == "eq12"
+        assert eq12 == pytest.approx(lemma2 * 3**1.5 * 0.01 / 2**1.5, rel=1e-12)
         with pytest.raises(ValueError):
             remainder_bound(envelope, 2, 0.01, "other")
+
+    def test_never_nan(self):
+        # At the extremes M/h overflows while x**(N+1) underflows, and the
+        # direct product is inf * 0.  Inside or outside the domain, the bound
+        # must be a number: finite, or inf.
+        for magnitude in (1e-300, 1.0, 1e200, 1.7e308):
+            for growth in (1e-300, 1.0, 1e120, 1e300):
+                envelope = GrowthEnvelope(magnitude, growth)
+                limit = h_domain(envelope)
+                steps = (5e-324, 1e-300, 1e-150, limit * 1e-12, 0.5 * limit, 0.99 * limit, limit, 1e308)
+                for n in (1, 2, 10, 40):
+                    for h in steps:
+                        for formula in BOUND_FORMULAS:
+                            bound = remainder_bound(envelope, n, h, formula)
+                            assert bound >= 0.0, (magnitude, growth, n, h, formula, bound)
+
+    def test_overflowing_prefactor_matches_high_precision(self):
+        # M/h overflows and x**11 underflows in doubles; the logarithmic
+        # evaluation must still give the bound's value.
+        h = 6.126919120770377e-154
+        with mp.workdps(40):
+            hm = mp.mpf(h)
+            x = 2 * hm * mp.mpf(1e120) * mp.e
+            expected = float(mp.mpf(1e200) / (mp.sqrt(2 * mp.pi) * mp.mpf(11) ** mp.mpf("1.5") * hm) * x**11 / (1 - x))
+        assert remainder_bound(GrowthEnvelope(1e200, 1e120), 10, h) == pytest.approx(expected, rel=1e-11)
 
     def test_bad_arguments(self):
         envelope = GrowthEnvelope(1.0, 1.0)
@@ -128,7 +151,7 @@ class TestOperatorPowerBound:
             values = [math.sin(k * h) for k in range(n_cap + 1)]
             for n in range(1, n_cap + 1):
                 power = operator_power(oracle, 0.0, h, n, cache=values)
-                assert abs(power.value) <= operator_power_bound(envelope, n, h)
+                assert abs(power) <= operator_power_bound(envelope, n, h)
 
 
 class TestStepSolver:
@@ -148,8 +171,7 @@ class TestStepSolver:
         plan = solve_k_exact_h(envelope, order, digits, formula)
         target = 10.0 ** (-(digits + 1))
         recomputed = remainder_bound(envelope, order, plan.h, formula)
-        assert recomputed.valid
-        assert abs(recomputed.bound - target) <= 1e-3 * target
+        assert abs(recomputed - target) <= 1e-3 * target
         assert plan.h < h_domain(envelope)
 
     def test_more_digits_means_smaller_step(self):
@@ -163,6 +185,12 @@ class TestStepSolver:
         assert plan.clipped
         assert plan.h == pytest.approx(0.99 * h_domain(envelope), rel=1e-15)
         assert plan.bound < plan.target
+
+    def test_overflowing_envelope_plans_a_finite_bound(self):
+        plan = solve_k_exact_h(GrowthEnvelope(1e200, 1e120), 10, 5)
+        assert not plan.clipped
+        assert math.isfinite(plan.bound) and plan.bound <= plan.target
+        assert plan.h == pytest.approx(6.13e-154, rel=1e-3)
 
     def test_invalid_envelope_and_args(self):
         with pytest.raises(ValueError):
@@ -205,7 +233,7 @@ class TestStepSolver:
         bisection = len(steps) - 1 - len(bracketing)
         assert 0 < bisection <= bounds_planner._BISECTION_MAX_ITER
         assert len(set(steps)) == len(steps)
-        assert plan.bound == original(envelope, 2, plan.h, formula).bound
+        assert plan.bound == original(envelope, 2, plan.h, formula)
 
     @given(
         magnitude=st.floats(1e-3, 1e3),
@@ -229,6 +257,6 @@ class TestBoundaryDivergence:
     def test_bound_blows_up_toward_the_domain_edge(self):
         envelope = GrowthEnvelope(1.0, 1.0)
         limit = h_domain(envelope)
-        mid = remainder_bound(envelope, 4, 0.5 * limit).bound
-        edge = remainder_bound(envelope, 4, limit * (1.0 - 1e-9)).bound
+        mid = remainder_bound(envelope, 4, 0.5 * limit)
+        edge = remainder_bound(envelope, 4, limit * (1.0 - 1e-9))
         assert edge > 1e6 * mid

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -301,16 +302,30 @@ class TestEdgeInputs:
             (("queue", "--mu1", "1e300"), 70),
             (("plan", "--M", "1", "--b", "1", "--N", "40", "--K", "400"), 64),
             (("plan", "--M", "1e-300", "--b", "1e300", "--N", "1", "--K", "306"), 64),
+            # M/h overflows while x**(N+1) underflows: the bound used to be NaN.
+            (("plan", "--M", "1e200", "--b", "1e120", "--N", "10", "--K", "5"), 0),
         ],
     )
     def test_exits_with_documented_code(self, args, code):
         proc = run_cli(*args, "--format", "json")
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+        if code == 0:
+            payload = json.loads(proc.stdout)
+            assert 0.0 < payload["bound_at_h_star"] <= payload["target"]
         if code == 2:
             assert json.loads(proc.stdout)["analytic_reference"] is None
         if code == 70:
             assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("flag, args", [("--out", ("diff", "sin")), ("--stationary-csv", ("queue",))])
+    def test_unwritable_output_path_exits_64(self, tmp_path: Path, flag, args):
+        path = str(tmp_path / "missing" / "out.txt")
+        proc = run_cli(*args, flag, path)
+        assert proc.returncode == 64
+        assert proc.stderr.startswith("error: ") and path in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
 
 
 class TestRunRecords:
@@ -352,3 +367,34 @@ class TestThreadDeterminism:
         threaded = run_cli(*args, env={"BLEND_THREADS": "4"})
         assert serial.returncode == threaded.returncode
         assert serial.stdout == threaded.stdout
+
+
+class TestGoldenBytes:
+    """SHA-256 of ``--format json`` stdout for commands whose bytes involve no numpy arithmetic.
+
+    A refactor that keeps outputs byte-identical keeps these digests.
+    """
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (("diff", "sin", "--theta", "0", "--h0", "0.1"), "8d0e8a5bbd03175d9183c1b9601e4a4cc17aba099ebdccc7da0e033573ef0917"),
+            (("diff", "sin", "--theta", "0", "--h0", "1.0", "--refinements", "0"), "8f8ab6af49688ef8131b8a89e618a9492b139133e49cc31298f2728b0a2fc6b9"),
+            (("diff", "quartic5", "--theta", "2", "--h0", "0.001"), "f8cebea188669bc567ceccbc5890760bebcfb4c54b6a6df4d71993207aa5b116"),
+            (("diff", "theta^3", "--theta", "2"), "f826bb8274a3bde714c76b2dbbd6c8a857a45b76f9913d7f6ed96fdb7cc324c7"),
+            (("direction", "--a", "1,2,3", "--theta", "1,1,1", "--v", "1,0,0"), "497e264abd55f7a81b77b4bf8f8edfc5f09670ad058619f40e37cbac84b01571"),
+            (
+                ("direction", "--a", "1,2,3", "--theta", "1,1,1", "--v", "1,1,0", "--normalize"),
+                "69f542caba432667641bf05da655d3c1d59e8d13b32378e68341bfa492f779c0",
+            ),
+            (("plan", "--M", "120", "--b", "2.4", "--N", "2", "--K", "6", "--formula", "eq12"), "34afe20016373da674855ddbfb57cd87c6abb6f9cd26a4324169a074fbcfc031"),
+            (("tables", "1"), "74ba274c2d65ea7705edc725844b27b10ac56059cbbff36b8a2f1128b1f40d12"),
+            (("tables", "2"), "681aa849f9f57fb5d7047e451af432b928b996bfa70fbc8e7dd9a53a22b31d42"),
+            (("tables", "3"), "3c69c556d4f46e0268b54ee24ac263ad277b3e4f7d6140d3c6a929591b4f6a0f"),
+            (("tables", "4"), "87eb31bd3faa654f53934a9958bf25019192194d140249e7dc8474e35fbcc5ce"),
+        ],
+    )
+    def test_json_digest(self, capsys, args, digest):
+        code = main([*args, "--format", "json"])
+        assert code in (0, 2)
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest

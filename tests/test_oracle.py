@@ -20,8 +20,6 @@ def test_counts_every_invocation_including_failures():
     with pytest.raises(ValueError):
         oracle.evaluate(-1.0)
     assert oracle.eval_count == 2
-    oracle.reset_count()
-    assert oracle.eval_count == 0
 
 
 def test_count_exact_under_concurrent_evaluation():

@@ -1,0 +1,48 @@
+"""The public surface of ``blend``: a name added to or dropped from it is a deliberate change."""
+
+from __future__ import annotations
+
+import blend
+
+
+def test_public_names_are_pinned():
+    assert sorted(blend.__all__) == [
+        "AnalyticTestFunction",
+        "BOUND_FORMULAS",
+        "BlendConfig",
+        "BlendReport",
+        "CATALOG",
+        "DirectionSpec",
+        "FunctionOracle",
+        "GrowthEnvelope",
+        "ORDER_CAP",
+        "OracleEvaluationError",
+        "OrderCapError",
+        "PartialSumTrace",
+        "SingularGeneratorError",
+        "StationaryDistribution",
+        "StencilWeights",
+        "StepPlan",
+        "TandemQueueModel",
+        "agreed_significant_digits",
+        "blend_partial_sums",
+        "blocking_probability",
+        "build_generator",
+        "compensated_dot",
+        "delta_from_cache",
+        "directional_oracle",
+        "exp_density",
+        "exp_density_operator_power_closed_form",
+        "h_domain",
+        "operator_power",
+        "operator_power_bound",
+        "quadratic_form",
+        "queue_sensitivity_oracle",
+        "remainder_bound",
+        "round_to_digits",
+        "run_blend",
+        "solve_k_exact_h",
+        "solve_stationary",
+        "stencil_weights",
+    ]
+    assert all(hasattr(blend, name) for name in blend.__all__)

@@ -71,15 +71,15 @@ class TestStencilWeights:
 class TestOperatorPower:
     def test_annihilates_low_degree_polynomial(self):
         oracle = FunctionOracle(lambda t: t * t)
-        result = operator_power(oracle, 5.0, 0.1, 3)
+        power = operator_power(oracle, 5.0, 0.1, 3)
         # scale of the alternating sum before cancellation
         scale = sum(math.comb(3, k) * abs((5.0 + 0.1 * k) ** 2) for k in range(4))
-        assert abs(result.value) <= 1e-14 * scale
+        assert abs(power) <= 1e-14 * scale
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 40])
     def test_constant_function_is_exactly_zero(self, n):
         oracle = FunctionOracle(lambda t: 1.2345678912345e8)
-        assert operator_power(oracle, 0.3, 0.05, n).value == 0.0
+        assert operator_power(oracle, 0.3, 0.05, n) == 0.0
 
     def test_consumes_exactly_n_plus_one_evaluations(self):
         oracle = FunctionOracle(math.exp)
@@ -92,7 +92,7 @@ class TestOperatorPower:
         direct = operator_power(oracle, 0.0, 0.1, 7)
         cached = operator_power(oracle, 0.0, 0.1, 7, cache=values)
         assert oracle.eval_count == 8
-        assert cached.value == direct.value
+        assert cached == direct
 
     def test_short_cache_rejected(self):
         oracle = FunctionOracle(math.exp)
@@ -143,7 +143,6 @@ class TestPartialSums:
         trace = blend_partial_sums(oracle, 0.3, 0.05, 6)
         assert len(trace.deltas) == 6
         assert len(trace.cached_values) == 7
-        assert trace.eval_count_used == 7
         assert oracle.eval_count == 7
 
     @given(
