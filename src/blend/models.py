@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .bounds_planner import GrowthEnvelope
 from .oracle import FunctionOracle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,9 @@ def exp_density_operator_power_closed_form(theta: float, x: float, h: float, n: 
 # ---------------------------------------------------------------------------
 
 
-_EPS = float(np.finfo(float).eps)
+# numpy is imported inside the queue functions, so the analytic commands never
+# load it; sys.float_info.epsilon equals np.finfo(float).eps.
+_EPS = sys.float_info.epsilon
 
 
 class SingularGeneratorError(RuntimeError):
@@ -208,6 +212,7 @@ def build_generator(model: TandemQueueModel) -> np.ndarray:
     :func:`solve_stationary` never forms this dense matrix; it is the
     reference the tests check the block solver against.
     """
+    import numpy as np
     c1, c2 = model.cap1, model.cap2
     q = np.zeros((model.state_count, model.state_count))
     for n1 in range(c1 + 1):
@@ -238,6 +243,8 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Dense LU with partial pivoting.  Hand-rolled (vectorized rank-1 updates,
     # np.sum substitutions) so results are bit-deterministic regardless of any
     # BLAS threading; it only ever sees one level's (cap2+1)-square system.
+    import numpy as np
+
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     n = a.shape[0]
@@ -273,6 +280,7 @@ def _level_inverse(s: np.ndarray) -> np.ndarray:
     products, never BLAS, so the result is bit-identical under any BLAS
     threading.
     """
+    import numpy as np
     a = np.array(s, dtype=float)
     n = a.shape[0]
     scale = float(np.abs(a).max())
@@ -297,6 +305,7 @@ def _level_inverse(s: np.ndarray) -> np.ndarray:
 
 def _outflow(model: TandemQueueModel) -> np.ndarray:
     """Total rate out of each state, indexed [n1, n2]: the negated generator diagonal."""
+    import numpy as np
     out = np.zeros((model.cap1 + 1, model.cap2 + 1))
     out[1:, :-1] += model.mu1  # station-1 completions, halted while station 2 is full
     out[:, 1:] += model.mu2  # station-2 completions
@@ -306,6 +315,7 @@ def _outflow(model: TandemQueueModel) -> np.ndarray:
 
 def _local_block(outflow: np.ndarray, mu2: float) -> np.ndarray:
     """Generator block within one level: station-2 completions n2 -> n2-1 and the diagonal."""
+    import numpy as np
     block = np.diag(-outflow)
     n2 = np.arange(1, outflow.size)
     block[n2, n2 - 1] = mu2
@@ -333,6 +343,7 @@ def solve_stationary(model: TandemQueueModel) -> StationaryDistribution:
     indicates a reducible chain.  ``residual_norm`` is ||pi Q||_inf evaluated
     from the blocks.
     """
+    import numpy as np
     lam, mu1, mu2 = model.arrival_rate, model.mu1, model.mu2
     outflow = _outflow(model)
     inner = _local_block(outflow[1], mu2)  # levels 1..cap1-1 share one block
@@ -367,6 +378,7 @@ def solve_stationary(model: TandemQueueModel) -> StationaryDistribution:
 
 def blocking_mass(model: TandemQueueModel, probabilities: np.ndarray) -> float:
     """Mass of a stationary vector on the states (cap1, 0..cap2), where station 1 is full."""
+    import numpy as np
     start = model.state_index(model.cap1, 0)
     return float(np.sum(probabilities[start : start + model.cap2 + 1]))
 

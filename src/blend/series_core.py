@@ -17,6 +17,13 @@ evaluated once per grid point instead of once per (n, k) pair, which enables
 caching and concurrent evaluation.  Weights are accumulated in exact rational
 arithmetic and converted to floating point once; the alternating binomials
 would otherwise cancel catastrophically.
+
+On float grids each product w_k * phi_k is made error-free (Dekker's
+TwoProduct) and every order is summed with one ``math.fsum``.  The Veltkamp
+halves that TwoProduct needs are taken once per float stencil row (cached next
+to the row) and once per grid, not once per (N, k) pair, so a sweep over
+N = 1..N_max costs O(N_max^2) multiplications and N_max ``fsum`` calls per
+attempt on top of the N_max + 1 oracle evaluations.
 """
 
 from __future__ import annotations
@@ -100,19 +107,37 @@ def stencil_weights(order_n: int) -> StencilWeights:
     return _weight_row(_check_order(order_n))
 
 
-def _two_product(a: float, b: float) -> tuple[float, float]:
-    """Dekker product: returns (p, err) with a*b == p + err exactly."""
-    p = a * b
-    if not math.isfinite(p):
-        return p, 0.0
-    ah = a * _SPLIT
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = b * _SPLIT
-    bh = bh - (bh - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
+def _split_all(xs) -> list[tuple[float, float, float]]:
+    """Veltkamp split of each float: (a, a_hi, a_lo) with a == a_hi + a_lo."""
+    pieces = []
+    for a in xs:
+        ah = a * _SPLIT
+        ah = ah - (ah - a)
+        pieces.append((a, ah, a - ah))
+    return pieces
+
+
+@lru_cache(maxsize=None)
+def _split_row(n: int) -> tuple[tuple[float, ...], list[tuple[float, float, float]]]:
+    # The float row of order n with its pieces; the row is returned so that a
+    # caller can check it split the row it was handed.
+    weights = _weight_row(n).weights
+    return weights, _split_all(weights)
+
+
+def _split_dot(coeffs: Sequence[tuple], values: Sequence[tuple]) -> float:
+    """math.fsum of the Dekker products of pre-split coeffs and values, pair by pair.
+
+    Each product contributes p = a*b and its exact error, or 0.0 when p is not
+    finite; the parts keep the order p_0, err_0, p_1, err_1, ...
+    """
+    parts: list[float] = []
+    append = parts.append
+    for (a, ah, al), (b, bh, bl) in zip(coeffs, values):
+        p = a * b
+        append(p)
+        append(((ah * bh - p) + ah * bl + al * bh) + al * bl if p - p == 0.0 else 0.0)
+    return math.fsum(parts)
 
 
 def _neumaier(values) -> object:
@@ -139,18 +164,17 @@ def compensated_dot(coeffs: Sequence, values: Sequence) -> object:
     """sum_k coeffs[k] * values[k] with error-free products on the float path.
 
     For float inputs each product is split exactly (Dekker) and the pieces are
-    summed with ``math.fsum``, so the result is the correctly rounded exact
-    sum; coefficient patterns that cancel algebraically (constant functions,
-    row-sum identities) come out as exact zeros.  Other numeric types fall
-    back to compensated Neumaier accumulation in the same fixed k order.
+    summed with ``math.fsum``, so the result is the correctly rounded sum of
+    the float products.  Coefficients that are exact in floating point and
+    cancel algebraically (the integer binomial rows of :func:`operator_power`
+    on a constant) therefore give exact zeros.  The float stencil rows do not:
+    they are rounded rationals whose sum is not exactly 0, so a stencil row
+    against a constant c leaves a residue of up to about u * sum|w_k| * |c|.
+    Other numeric types fall back to compensated Neumaier accumulation in the
+    same fixed k order.
     """
     if all(type(v) is float for v in values):
-        parts: list[float] = []
-        for c, v in zip(coeffs, values):
-            p, err = _two_product(float(c), v)
-            parts.append(p)
-            parts.append(err)
-        return math.fsum(parts)
+        return _split_dot(_split_all(float(c) for c, _ in zip(coeffs, values)), _split_all(values))
     return _neumaier(c * v for c, v in zip(coeffs, values))
 
 
@@ -197,16 +221,33 @@ class PartialSumTrace:
     cached_values: tuple[float, ...]
 
 
+class _SplitGrid(list):
+    """An all-float grid as (value, high, low) triples, split once, and its count of leading finite values."""
+
+    def __init__(self, values: Sequence[float]):
+        super().__init__(_split_all(values))
+        self.finite_prefix = next((k for k, v in enumerate(values) if not math.isfinite(v)), len(values))
+
+
 def delta_from_cache(weights: StencilWeights, cached_values: Sequence, h: float) -> float:
     """Delta(N, h) = -(1/h) * sum_k w_k * phi(theta + k*h) from cached values.
 
     Non-finite cached values yield NaN (callers treat that as "not
     stabilized") rather than propagating inf-inf artifacts out of the sum.
+    :func:`blend_partial_sums` passes its float grids pre-split (a private
+    ``_SplitGrid``); the result is bit-identical to passing the plain values.
     """
     _check_step(h)
     n = weights.order_n
     if len(cached_values) < n + 1:
         raise ValueError(f"need {n + 1} cached values for order {n}, got {len(cached_values)}")
+    if type(cached_values) is _SplitGrid:
+        if n >= cached_values.finite_prefix:
+            return math.nan
+        row_weights, row = _split_row(n)
+        if row_weights is not weights.weights:
+            row = _split_all(weights.weights)
+        return -_split_dot(row, cached_values) / h
     values = cached_values[: n + 1]
     if any(type(v) is float and not math.isfinite(v) for v in values):
         return math.nan
@@ -275,7 +316,7 @@ def blend_partial_sums(
     _check_order(n_max, "n_max")
     _check_step(h)
     values = _evaluate_grid(oracle, theta, h, n_max, max_workers)
-    deltas = tuple(
-        delta_from_cache(stencil_weights(n), values, h) for n in range(1, n_max + 1)
-    )
+    # Type and finiteness are checked once per grid here, not once per order.
+    grid = _SplitGrid(values) if all(type(v) is float for v in values) else values
+    deltas = tuple([delta_from_cache(_weight_row(n), grid, h) for n in range(1, n_max + 1)])
     return PartialSumTrace(theta=theta, h=h, deltas=deltas, cached_values=tuple(values))

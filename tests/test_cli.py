@@ -372,9 +372,11 @@ class TestThreadDeterminism:
 class TestGoldenBytes:
     """SHA-256 of ``--format json`` stdout for commands whose bytes involve no numpy arithmetic.
 
-    A refactor that keeps outputs byte-identical keeps these digests.
+    A refactor that keeps outputs byte-identical keeps these digests, and
+    serial and pooled grids (``BLEND_THREADS`` 0 and 4) must give the same bytes.
     """
 
+    @pytest.mark.parametrize("threads", ["0", "4"])
     @pytest.mark.parametrize(
         "args, digest",
         [
@@ -394,7 +396,8 @@ class TestGoldenBytes:
             (("tables", "4"), "87eb31bd3faa654f53934a9958bf25019192194d140249e7dc8474e35fbcc5ce"),
         ],
     )
-    def test_json_digest(self, capsys, args, digest):
+    def test_json_digest(self, capsys, monkeypatch, args, digest, threads):
+        monkeypatch.setenv("BLEND_THREADS", threads)
         code = main([*args, "--format", "json"])
         assert code in (0, 2)
         assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import blend
 
 
@@ -46,3 +51,11 @@ def test_public_names_are_pinned():
         "stencil_weights",
     ]
     assert all(hasattr(blend, name) for name in blend.__all__)
+
+
+def test_import_leaves_numpy_unloaded():
+    # Only the tandem queue needs numpy; it is imported when a queue function runs.
+    env = dict(os.environ, PYTHONPATH=str(Path(blend.__file__).resolve().parents[1]))
+    code = "import sys, blend, blend.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"

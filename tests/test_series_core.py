@@ -8,14 +8,16 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blend import series_core
 from blend import (
     ORDER_CAP,
     FunctionOracle,
     OracleEvaluationError,
     OrderCapError,
+    StencilWeights,
     blend_partial_sums,
     delta_from_cache,
     operator_power,
@@ -169,6 +171,17 @@ class TestPartialSums:
             ) / h
             assert abs(delta - a) <= noise + 1e-300
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 20, 40])
+    @pytest.mark.parametrize("c, h", [(math.sin(1.0), 0.1), (1.2345678912345e8, 0.05), (-3.0, 1e-4)])
+    def test_constant_function_sits_at_the_rounding_of_the_row(self, n, c, h):
+        # The float row is the rounded rational row, and its sum is rarely
+        # exactly 0: Delta(N) of a constant is bounded by u * sum|w_k| * |c| / h
+        # and is 0 only for the orders whose float row sums to 0.
+        weights = stencil_weights(n).weights
+        delta = delta_from_cache(stencil_weights(n), [c] * (n + 1), h)
+        assert abs(delta) <= 2.0**-53 * math.fsum(abs(w) for w in weights) * abs(c) / h * (1 + 1e-9)
+        assert (delta == 0.0) == (math.fsum(weights) == 0.0)
+
     def test_trace_recomputable_bit_exactly(self):
         oracle = FunctionOracle(lambda t: math.exp(math.sin(3.0 * t)))
         trace = blend_partial_sums(oracle, 0.7, 0.02, 10)
@@ -203,6 +216,114 @@ class TestPartialSums:
         trace = blend_partial_sums(oracle, 0.0, 0.1, 8)
         assert math.isnan(trace.deltas[-1])
         assert trace.deltas[0] == pytest.approx(1.0)
+
+
+def _reference_two_product(a: float, b: float) -> tuple[float, float]:
+    # The Dekker product as the reduction made it once per (N, k) pair,
+    # splitting both factors afresh every time.
+    p = a * b
+    if not math.isfinite(p):
+        return p, 0.0
+    split = 134217729.0
+    ah = a * split
+    ah = ah - (ah - a)
+    al = a - ah
+    bh = b * split
+    bh = bh - (bh - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _reference_neumaier(terms):
+    total = comp = None
+    for v in terms:
+        if total is None:
+            total, comp = v, v - v
+            continue
+        t = total + v
+        if abs(total) >= abs(v):
+            comp = comp + ((total - t) + v)
+        else:
+            comp = comp + ((v - t) + total)
+        total = t
+    return 0.0 if total is None else total + comp
+
+
+def _reference_delta(n: int, values, h: float) -> float:
+    """Delta(N, h) reduced pair by pair: one TwoProduct per (N, k), one fsum per order."""
+    weights = stencil_weights(n).weights
+    values = list(values[: n + 1])
+    if any(type(v) is float and not math.isfinite(v) for v in values):
+        return math.nan
+    if all(type(v) is float for v in values):
+        parts = []
+        for w, v in zip(weights, values):
+            parts.extend(_reference_two_product(w, v))
+        return -math.fsum(parts) / h
+    return -_reference_neumaier(w * v for w, v in zip(weights, values)) / h
+
+
+def _outcome(fn):
+    """Bits of each float that ``fn`` returns (one token for every NaN), or the exception raised."""
+    try:
+        result = fn()
+    except (ArithmeticError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+    return ["nan" if math.isnan(v) else float(v).hex() for v in result]
+
+
+_GRIDS = st.one_of(
+    st.lists(st.one_of(st.floats(), st.floats(-10.0, 10.0)), min_size=2, max_size=ORDER_CAP + 1),
+    # constant and near-constant grids, where the row's rounding is all that is left
+    st.tuples(
+        st.floats(allow_nan=False, allow_infinity=False), st.integers(1, ORDER_CAP), st.floats(-1e-12, 1e-12)
+    ).map(lambda t: [t[0] * (1.0 + t[2] * (k % 2)) for k in range(t[1] + 1)]),
+)
+
+
+class TestSplitOnceReduction:
+    """Splitting each row once per order and each value once per grid changes no bit."""
+
+    @given(values=_GRIDS, h=st.floats(1e-8, 10.0))
+    @example(values=[1.0, 1e300, 2.0, -1e300], h=0.1)  # just below where the split overflows (1.34e300)
+    @example(values=[0.5, 1.5e300, 0.25], h=0.1)  # 1.5e300 * (2**27 + 1) overflows: NaN halves
+    @example(values=[1e299 * (1.0 + 0.01 * k) for k in range(ORDER_CAP + 1)], h=0.1)  # w_k * v overflows
+    @example(values=[5e-324, -0.0, 2.2250738585072014e-308, 0.0, -5e-324, 1e-310], h=1e-3)
+    @example(values=[0.1, 0.2, 0.3, math.inf, 0.5, 0.6], h=0.1)
+    @example(values=[0.1, 0.2, math.nan, 0.4, 0.5], h=0.1)
+    @example(values=[k * k for k in range(ORDER_CAP + 1)], h=0.5)
+    @example(values=[Fraction(k * k, 3) for k in range(7)], h=0.25)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pair_by_pair_reduction(self, values, h):
+        n_max = len(values) - 1
+        orders = range(1, n_max + 1)
+        expected = [_outcome(lambda n=n: [_reference_delta(n, values, h)]) for n in orders]
+        plain = [_outcome(lambda n=n: [delta_from_cache(stencil_weights(n), values, h)]) for n in orders]
+        assert plain == expected
+
+        def sweep():
+            slots = iter(values)
+            return blend_partial_sums(FunctionOracle(lambda t: next(slots)), 0.0, h, n_max).deltas
+
+        # The sweep raises what the first failing order raises, if any order does.
+        failure = next((e for e in expected if isinstance(e, tuple)), None)
+        assert _outcome(sweep) == (failure or [bits for (bits,) in expected])
+
+    def test_pre_split_grid_reduces_the_row_it_is_given(self):
+        # The cached pieces stand in only for the cached row itself.
+        values = [math.exp(0.1 * k) for k in range(5)]
+        row = StencilWeights(order_n=4, weights=(1.0, -4.0, 6.0, -4.0, 1.0), exact=())
+        expected = delta_from_cache(row, values, 0.1)
+        assert delta_from_cache(row, series_core._SplitGrid(values), 0.1) == expected
+        assert expected != delta_from_cache(stencil_weights(4), values, 0.1)
+
+    def test_non_finite_slot_poisons_only_the_orders_that_reach_it(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            values = [math.sin(0.1 * k) for k in range(9)]
+            values[4] = bad
+            trace = blend_partial_sums(FunctionOracle(lambda t, it=iter(values): next(it)), 0.0, 0.1, 8)
+            assert all(math.isfinite(d) for d in trace.deltas[:3])
+            assert all(math.isnan(d) for d in trace.deltas[3:])
 
 
 class TestParallelism:
