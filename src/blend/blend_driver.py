@@ -194,11 +194,21 @@ class DirectionSpec:
 
     @classmethod
     def unit(cls, vector: Sequence[float]) -> "DirectionSpec":
-        """Normalize ``vector`` to Euclidean length 1."""
-        norm = math.sqrt(math.fsum(float(v) * float(v) for v in vector))
+        """Normalize ``vector`` to Euclidean length 1.
+
+        A finite nonzero vector whose squares underflow or overflow is first
+        divided by its largest magnitude; any other vector keeps the plain
+        sqrt(fsum(v*v)) norm.
+        """
+        values = [float(v) for v in vector]
+        norm = math.sqrt(math.fsum(v * v for v in values))
         if norm == 0.0 or not math.isfinite(norm):
-            raise ValueError(f"cannot normalize vector with norm {norm!r}; the norm must be finite and nonzero")
-        return cls(direction=tuple(float(v) / norm for v in vector))
+            scale = max(map(abs, values), default=0.0)
+            if scale == 0.0 or not all(map(math.isfinite, values)):
+                raise ValueError(f"cannot normalize vector with norm {norm!r}; the norm must be finite and nonzero")
+            values = [v / scale for v in values]
+            norm = math.sqrt(math.fsum(v * v for v in values))
+        return cls(direction=tuple(v / norm for v in values))
 
 
 def directional_oracle(

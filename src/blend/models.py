@@ -6,6 +6,8 @@ the flagship genuinely-black-box application: a two-station tandem network
 with finite buffers has no closed-form stationary distribution, but its
 block-tridiagonal generator is solved level by level, so the blocking
 probability is an ordinary numerically-evaluated function of the arrival rate.
+One Gauss-Jordan kernel on M-matrix blocks eliminates every level, level 0
+included: it fixes the empty state's probability instead of a normalization row.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ _EPS = sys.float_info.epsilon
 
 
 class SingularGeneratorError(RuntimeError):
-    """The stationary linear system lost a pivot (reducible chain)."""
+    """A level block of the stationary solve lost a pivot to rounding."""
 
 
 @dataclass(frozen=True)
@@ -239,59 +241,24 @@ class StationaryDistribution:
         self.probabilities.setflags(write=False)
 
 
-def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Dense LU with partial pivoting.  Hand-rolled (vectorized rank-1 updates,
-    # np.sum substitutions) so results are bit-deterministic regardless of any
-    # BLAS threading; it only ever sees one level's (cap2+1)-square system.
-    import numpy as np
-
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    n = a.shape[0]
-    scale = float(np.max(np.abs(a)))
-    tol = n * _EPS * (scale if scale > 0 else 1.0)
-    for k in range(n):
-        pivot_row = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[pivot_row, k]) <= tol:
-            raise SingularGeneratorError(
-                f"pivot {k} is zero to tolerance ({a[pivot_row, k]!r}); "
-                "the balance system is singular, which signals a reducible chain"
-            )
-        if pivot_row != k:
-            a[[k, pivot_row]] = a[[pivot_row, k]]
-            b[[k, pivot_row]] = b[[pivot_row, k]]
-        if k < n - 1:
-            multipliers = a[k + 1 :, k] / a[k, k]
-            a[k + 1 :, k + 1 :] -= multipliers[:, None] * a[k, k + 1 :]
-            b[k + 1 :] -= multipliers * b[k]
-            a[k + 1 :, k] = 0.0
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - float(np.sum(a[i, i + 1 :] * x[i + 1 :]))) / a[i, i]
-    return x
-
-
 def _level_inverse(s: np.ndarray) -> np.ndarray:
     """Inverse of a censored level block by in-place Gauss-Jordan without row swaps.
 
     Each block is the negative of a nonsingular M-matrix, so every pivot is
-    nonzero without pivoting.  A pivot that vanishes to tolerance raises
-    :class:`SingularGeneratorError`.  Rank-1 updates are elementwise numpy
-    products, never BLAS, so the result is bit-identical under any BLAS
-    threading.
+    nonzero without pivoting.  Pivot k at or below n * eps * max|s[k, :]|
+    raises :class:`SingularGeneratorError`; scaling by its own row keeps rates
+    orders of magnitude apart in other rows from passing for a lost pivot.
+    Rank-1 updates are elementwise numpy products, never BLAS, so the result
+    is bit-identical under any BLAS threading.
     """
     import numpy as np
     a = np.array(s, dtype=float)
     n = a.shape[0]
-    scale = float(np.abs(a).max())
-    tol = n * _EPS * (scale if scale > 0 else 1.0)
+    tol = n * _EPS * np.abs(a).max(axis=1)
     for k in range(n):
         pivot = a.item(k, k)
-        if abs(pivot) <= tol:
-            raise SingularGeneratorError(
-                f"pivot {k} is zero to tolerance ({pivot!r}); "
-                "the balance system is singular, which signals a reducible chain"
-            )
+        if abs(pivot) <= tol.item(k):
+            raise SingularGeneratorError(f"pivot {k} ({pivot!r}) is singular to working precision")
         # Column k of the working array turns into column k of the inverse:
         # clear it, scale the pivot row, then eliminate with one rank-1 update.
         factors = a[:, k].copy()
@@ -333,15 +300,20 @@ def solve_stationary(model: TandemQueueModel) -> StationaryDistribution:
         S_cap1 = L_cap1,   R_j = -arrival_rate * S_j^-1,   S_{j-1} = L_{j-1} + R_j D,
 
     where S_j is level j's block of the chain censored to levels <= j.  Level
-    0 is solved from pi_0 S_0 = 0 with its last equation replaced by a
-    normalization row, then pi_j = pi_{j-1} R_j and the whole vector is
-    normalized.  The cost is O(cap1 * cap2^3) against O((cap1 * cap2)^3) for
-    the dense system, and the order matters: eliminating from level 0 upward
-    would invert L_0, which is singular without arrivals.
+    0 fixes pi_0[0] = 1 and solves pi_0 S_0 = 0 for the rest (Grassmann,
+    Taksar & Heyman 1985):
 
-    Raises :class:`SingularGeneratorError` when a pivot vanishes, which
-    indicates a reducible chain.  ``residual_norm`` is ||pi Q||_inf evaluated
-    from the blocks.
+        pi_0[1:] = -S_0[0, 1:] S_0[1:, 1:]^-1,
+
+    then pi_j = pi_{j-1} R_j and the whole vector is normalized.  Every
+    inverse is a :func:`_level_inverse` of an M-matrix block, so one pivot
+    rule covers the whole solve.  The cost is O(cap1 * cap2^3) against
+    O((cap1 * cap2)^3) for the dense system, and the order matters:
+    eliminating from level 0 upward would invert L_0, which is singular
+    without arrivals.
+
+    Raises :class:`SingularGeneratorError` when a pivot vanishes to working
+    precision.  ``residual_norm`` is ||pi Q||_inf evaluated from the blocks.
     """
     import numpy as np
     lam, mu1, mu2 = model.arrival_rate, model.mu1, model.mu2
@@ -355,11 +327,11 @@ def solve_stationary(model: TandemQueueModel) -> StationaryDistribution:
         # D has mu1 on the superdiagonal, so R_j D is a column shift of R_j.
         censored = local[j - 1].copy()
         censored[:, 1:] += mu1 * rates[j][:, :-1]
-    system = censored.T.copy()
-    system[-1, :] = 1.0
-    rhs = np.zeros(model.cap2 + 1)
-    rhs[-1] = 1.0
-    levels = [_lu_solve(system, rhs)]
+    # pi_0 S_0 = 0 with pi_0[0] = 1: the other states of level 0 drain to
+    # (0, 0) at rate mu2, so -S_0[1:, 1:] is a nonsingular M-matrix as well.
+    first = np.ones(model.cap2 + 1)
+    first[1:] = np.add.reduce(-censored[0, 1:, None] * _level_inverse(censored[1:, 1:]), axis=0)
+    levels = [first]
     for j in range(1, model.cap1 + 1):
         # pi_{j-1} R_j by pairwise column sums instead of a BLAS product
         levels.append(np.add.reduce(levels[-1][:, None] * rates[j], axis=0))

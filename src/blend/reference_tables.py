@@ -164,12 +164,11 @@ TABLES: dict[int, ReferenceTable] = {
 }
 
 
-def _table_oracle(number: int) -> tuple[FunctionOracle, float]:
-    """Oracle and expansion point for a table's regeneration run."""
-    if number in (1, 2):
-        return FunctionOracle(CATALOG["sin"].evaluate, parallel_safe=True, name="sin"), 0.0
-    if number == 3:
-        return FunctionOracle(CATALOG["quartic5"].evaluate, parallel_safe=True, name="quartic5"), 2.0
+def _experiment(number: int) -> tuple[FunctionOracle, float, float]:
+    """Oracle, expansion point and independent reference derivative of a table's experiment."""
+    if number in (1, 2, 3):
+        fn, theta = (CATALOG["sin"], 0.0) if number < 3 else (CATALOG["quartic5"], 2.0)
+        return FunctionOracle(fn.evaluate, parallel_safe=True, name=fn.name), theta, fn.reference_derivative(theta)
     if number == 4:
         quadratic = quadratic_form(DIRECTIONAL_COEFFS)
         oracle = directional_oracle(
@@ -179,26 +178,12 @@ def _table_oracle(number: int) -> tuple[FunctionOracle, float]:
             parallel_safe=True,
             name="directional quadratic",
         )
-        return oracle, 0.0
-    if number == 5:
-        return queue_sensitivity_oracle(QUEUE_MODEL), QUEUE_MODEL.arrival_rate
-    raise ValueError(f"no reference table {number}")
-
-
-def _computed_reference(number: int) -> float:
-    """Independent reference derivative for each table's experiment."""
-    if number in (1, 2):
-        return CATALOG["sin"].reference_derivative(0.0)
-    if number == 3:
-        return CATALOG["quartic5"].reference_derivative(2.0)
-    if number == 4:
-        quadratic = quadratic_form(DIRECTIONAL_COEFFS)
-        return quadratic.reference_derivative(DIRECTIONAL_THETA, DIRECTIONAL_DIRECTION)
+        return oracle, 0.0, quadratic.reference_derivative(DIRECTIONAL_THETA, DIRECTIONAL_DIRECTION)
     if number == 5:
         step = 1e-5
         lo = blocking_probability(replace(QUEUE_MODEL, arrival_rate=QUEUE_MODEL.arrival_rate - step))
         hi = blocking_probability(replace(QUEUE_MODEL, arrival_rate=QUEUE_MODEL.arrival_rate + step))
-        return (hi - lo) / (2.0 * step)
+        return queue_sensitivity_oracle(QUEUE_MODEL), QUEUE_MODEL.arrival_rate, (hi - lo) / (2.0 * step)
     raise ValueError(f"no reference table {number}")
 
 
@@ -209,7 +194,7 @@ def generate_table(number: int) -> dict:
     trace supplies the rows, so every grid point is evaluated once.
     """
     spec = TABLES[number]
-    oracle, theta = _table_oracle(number)
+    oracle, theta, reference = _experiment(number)
     config = BlendConfig(h0=spec.regeneration_h, n_max=N_MAX, max_h_refinements=0)
     report = run_blend(oracle, theta, config)
     rows = []
@@ -233,7 +218,7 @@ def generate_table(number: int) -> dict:
         "match_tolerance": spec.match_tolerance,
         "rows": rows,
         "published_true": spec.published_true,
-        "computed_reference": _computed_reference(number),
+        "computed_reference": reference,
         "stabilized": report.stabilized,
         "driver_value": report.value,
         "agreed_digits": report.agreed_digits,

@@ -129,7 +129,9 @@ def _split_dot(coeffs: Sequence[tuple], values: Sequence[tuple]) -> float:
     """math.fsum of the Dekker products of pre-split coeffs and values, pair by pair.
 
     Each product contributes p = a*b and its exact error, or 0.0 when p is not
-    finite; the parts keep the order p_0, err_0, p_1, err_1, ...
+    finite; the parts keep the order p_0, err_0, p_1, err_1, ...  Products
+    that overflow to infinities of both signs, or a sum beyond the float
+    range, give NaN where ``math.fsum`` would raise.
     """
     parts: list[float] = []
     append = parts.append
@@ -137,7 +139,10 @@ def _split_dot(coeffs: Sequence[tuple], values: Sequence[tuple]) -> float:
         p = a * b
         append(p)
         append(((ah * bh - p) + ah * bl + al * bh) + al * bl if p - p == 0.0 else 0.0)
-    return math.fsum(parts)
+    try:
+        return math.fsum(parts)
+    except (ValueError, OverflowError):
+        return math.nan
 
 
 def _neumaier(values) -> object:

@@ -17,11 +17,13 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import mpmath as mp
 import pytest
 
+import blend
 from blend import (
     BlendConfig,
     DirectionSpec,
@@ -317,11 +319,11 @@ def test_criterion_10_thread_determinism():
             ("tables", "all", "--format", "json"),
             ("plan", "--M", "1", "--b", "1", "--N", "4", "--K", "6", "--format", "table"),
         ]
+        src = str(Path(blend.__file__).resolve().parents[1])
         for args in invocations:
             outputs = []
             for threads in ("0", "4"):
-                env = dict(os.environ)
-                env["BLEND_THREADS"] = threads
+                env = dict(os.environ, BLEND_THREADS=threads, PYTHONPATH=src)
                 proc = subprocess.run(
                     [sys.executable, "-m", "blend", *args],
                     capture_output=True,
@@ -329,3 +331,4 @@ def test_criterion_10_thread_determinism():
                 )
                 outputs.append((proc.returncode, proc.stdout))
             assert outputs[0] == outputs[1]
+            assert outputs[0][0] == 0, args

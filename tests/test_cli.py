@@ -11,12 +11,17 @@ from pathlib import Path
 
 import pytest
 
+import blend
 from blend.cli import main
 from blend.output import canonical_json
 
 
+# Child processes import the package under test even when PYTHONPATH does not name it.
+SRC_DIR = str(Path(blend.__file__).resolve().parents[1])
+
+
 def run_cli(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
-    merged = dict(os.environ)
+    merged = dict(os.environ, PYTHONPATH=SRC_DIR)
     merged.setdefault("BLEND_THREADS", "0")
     if env:
         merged.update(env)
@@ -298,8 +303,13 @@ class TestEdgeInputs:
         [
             (("diff", "sin", "--theta", "nan"), 64),
             (("direction", "--a", "1", "--theta", "1", "--v", "nan"), 64),
+            (("direction", "--a", "1,1", "--theta", "1,1", "--v", "0,0", "--normalize"), 64),
             (("direction", "--a", "1e308", "--theta", "1e308", "--v", "1"), 2),
-            (("queue", "--mu1", "1e300"), 70),
+            # w_k * f_k overflow to infinities of both signs: NaN partial sums, not a traceback.
+            (("diff", "1e299*theta", "--theta", "1", "--n-max", "40"), 2),
+            # Station 1 empties instantly; a pivot tolerance scaled by the whole block used to reject this.
+            (("queue", "--mu1", "1e300"), 0),
+            (("queue", "--lambda", "1e300", "--h0", "1e297"), 70),
             (("plan", "--M", "1", "--b", "1", "--N", "40", "--K", "400"), 64),
             (("plan", "--M", "1e-300", "--b", "1e300", "--N", "1", "--K", "306"), 64),
             # M/h overflows while x**(N+1) underflows: the bound used to be NaN.
@@ -310,13 +320,24 @@ class TestEdgeInputs:
         proc = run_cli(*args, "--format", "json")
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
-        if code == 0:
+        if code == 0 and args[0] == "plan":
             payload = json.loads(proc.stdout)
             assert 0.0 < payload["bound_at_h_star"] <= payload["target"]
         if code == 2:
-            assert json.loads(proc.stdout)["analytic_reference"] is None
+            payload = json.loads(proc.stdout)
+            assert payload["report"]["stabilized"] is False
+            assert payload.get("analytic_reference") is None
         if code == 70:
             assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "v, unit",
+        [("3e-170,4e-170", [0.6, 0.8]), ("1e200,1e200", [0.7071067811865476] * 2)],
+        ids=["squares-underflow", "squares-overflow"],
+    )
+    def test_normalize_rescales_extreme_vectors(self, v, unit):
+        payload = run_json("direction", "--a", "1,1", "--theta", "1,1", "--v", v, "--normalize")
+        assert payload["config"]["v"] == pytest.approx(unit, rel=1e-15)
 
     @pytest.mark.parametrize("flag, args", [("--out", ("diff", "sin")), ("--stationary-csv", ("queue",))])
     def test_unwritable_output_path_exits_64(self, tmp_path: Path, flag, args):

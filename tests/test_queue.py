@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blend
 from blend import (
     BlendConfig,
     SingularGeneratorError,
@@ -140,6 +142,20 @@ class TestStationary:
         assert pi[model.state_index(0, 0)] == pytest.approx(1.0, abs=1e-13)
         assert blocking_probability(model) == pytest.approx(0.0, abs=1e-13)
 
+    @pytest.mark.parametrize(
+        "model, blocking",
+        [
+            # Station 2 empties instantly: station 1 alone is M/M/1/10 at load 1.
+            (TandemQueueModel(1.0, 1.0, 1e15, 10, 10), 1.0 / 11.0),
+            # Station 1 passes jobs on instantly: one M/M/1/20 queue at load 1/2.
+            (TandemQueueModel(1.0, 1e300, 2.0, 10, 10), 0.5**21 / (1.0 - 0.5**21)),
+        ],
+        ids=["mu2-1e15", "mu1-1e300"],
+    )
+    def test_extreme_service_rates_reach_single_station_limit(self, model, blocking):
+        # Rates many orders of magnitude apart within one block are not a lost pivot.
+        assert blocking_probability(model) == pytest.approx(blocking, rel=1e-12)
+
     def test_singular_system_raises(self):
         with pytest.raises(SingularGeneratorError, match="pivot"):
             _level_inverse(np.zeros((3, 3)))
@@ -185,8 +201,9 @@ class TestStationary:
             "    print(solve_stationary(TandemQueueModel(1.3, 0.9, 1.7, *caps)).probabilities.tobytes().hex())\n"
         )
         outputs = []
+        src = str(Path(blend.__file__).resolve().parents[1])
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
             proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
@@ -224,6 +241,12 @@ class TestSensitivityOracle:
         hi = blocking_probability(TandemQueueModel(1.0 + step, 1.0, 2.0, 10, 10))
         central = (hi - lo) / (2 * step)
         assert report.value == pytest.approx(central, abs=1e-6)
+
+    def test_fast_station_two_matches_single_station_derivative(self):
+        # M/M/1/K at load 1 has dB/dlambda = K / (2 (K + 1)) for unit service rate.
+        report = run_blend(queue_sensitivity_oracle(TandemQueueModel(1.0, 1.0, 1e15, 10, 10)), 1.0, BlendConfig(h0=0.01))
+        assert report.stabilized
+        assert report.value == pytest.approx(5.0 / 11.0, abs=1e-7)
 
     def test_small_instance_against_hand_model(self):
         base = TandemQueueModel(1.0, 1.0, 1.0, 1, 1)

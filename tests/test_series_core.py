@@ -259,7 +259,10 @@ def _reference_delta(n: int, values, h: float) -> float:
         parts = []
         for w, v in zip(weights, values):
             parts.extend(_reference_two_product(w, v))
-        return -math.fsum(parts) / h
+        try:
+            return -math.fsum(parts) / h
+        except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
+            return math.nan
     return -_reference_neumaier(w * v for w, v in zip(weights, values)) / h
 
 
@@ -288,6 +291,7 @@ class TestSplitOnceReduction:
     @example(values=[1.0, 1e300, 2.0, -1e300], h=0.1)  # just below where the split overflows (1.34e300)
     @example(values=[0.5, 1.5e300, 0.25], h=0.1)  # 1.5e300 * (2**27 + 1) overflows: NaN halves
     @example(values=[1e299 * (1.0 + 0.01 * k) for k in range(ORDER_CAP + 1)], h=0.1)  # w_k * v overflows
+    @example(values=[1e300 * (-1) ** k for k in range(33)], h=0.1)  # finite w_k * v, sum past the float range
     @example(values=[5e-324, -0.0, 2.2250738585072014e-308, 0.0, -5e-324, 1e-310], h=1e-3)
     @example(values=[0.1, 0.2, 0.3, math.inf, 0.5, 0.6], h=0.1)
     @example(values=[0.1, 0.2, math.nan, 0.4, 0.5], h=0.1)
