@@ -18,10 +18,11 @@ operator-power bound, but it is the form the classical worked step-size
 example solves, so it is kept available as "eq12".  Empirical domination
 tests (sin with M=b=1 at N=2, h=0.001 has true remainder h^2/3 ~ 3.3e-7
 versus a printed-form value of 1.2e-8) confirm only the 1/h-corrected form
-actually bounds the truncation error.  Every step plan records which formula
-was used.  Outside the open domain h < 1/(2*b*e) the geometric series
-diverges and the bound is ``math.inf`` rather than an error, so sweep tooling
-can probe the boundary; inside it the bound is never NaN.
+actually bounds the truncation error.  The CLI's ``plan`` record, not the
+:class:`StepPlan`, carries which formula was used.  Outside the open domain
+h < 1/(2*b*e) the geometric series diverges and the bound is ``math.inf``
+rather than an error, so sweep tooling can probe the boundary; inside it the
+bound is never NaN.
 
 The envelope is a user input.  There is no automated estimation of (M, b)
 from samples: pretending to infer it would manufacture a false sense of
@@ -132,7 +133,6 @@ class StepPlan:
     h: float
     bound: float
     target: float
-    formula: str
     clipped: bool
 
 
@@ -160,7 +160,7 @@ def solve_k_exact_h(
     hi_bound = remainder_bound(envelope, n, hi, formula)
     if hi_bound < target:
         # Even near the domain edge the truncation is tighter than asked for.
-        return StepPlan(h=hi, bound=hi_bound, target=target, formula=formula, clipped=True)
+        return StepPlan(h=hi, bound=hi_bound, target=target, clipped=True)
     lo = hi * 1e-12
     lo_bound = remainder_bound(envelope, n, lo, formula)
     while lo_bound > target:
@@ -178,4 +178,4 @@ def solve_k_exact_h(
             hi = mid
         if abs(best_bound - target) <= _RESIDUAL_RTOL * target:
             break
-    return StepPlan(h=best, bound=best_bound, target=target, formula=formula, clipped=False)
+    return StepPlan(h=best, bound=best_bound, target=target, clipped=False)

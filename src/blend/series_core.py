@@ -18,17 +18,19 @@ caching and concurrent evaluation.  Weights are accumulated in exact rational
 arithmetic and converted to floating point once; the alternating binomials
 would otherwise cancel catastrophically.
 
-On float grids each product w_k * phi_k is made error-free (Dekker's
-TwoProduct) and every order is summed with one ``math.fsum``.  The Veltkamp
-halves that TwoProduct needs are taken once per float stencil row (cached next
-to the row) and once per grid, not once per (N, k) pair, so a sweep over
-N = 1..N_max costs O(N_max^2) multiplications and N_max ``fsum`` calls per
-attempt on top of the N_max + 1 oracle evaluations.
+Every finite float is an integer over a power of two, so each float row (once
+per order) and each float grid (once per attempt) is written as integers over
+one common denominator.  Each product w_k * phi_k is then exact in integers,
+and each order's sum is rounded once, by a correctly rounded division.
+Non-finite inputs, and sums beyond the float range, give NaN.  A sweep over
+N = 1..N_max costs O(N_max^2) integer multiplications per attempt on top of
+the N_max + 1 oracle evaluations.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,8 +44,6 @@ from .oracle import FunctionOracle, OracleEvaluationError
 #: integer arithmetic with room to spare; beyond this, cancellation in the
 #: function values dominates any benefit of more terms.
 ORDER_CAP = 40
-
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 
 
 class OrderCapError(ValueError):
@@ -107,41 +107,25 @@ def stencil_weights(order_n: int) -> StencilWeights:
     return _weight_row(_check_order(order_n))
 
 
-def _split_all(xs) -> list[tuple[float, float, float]]:
-    """Veltkamp split of each float: (a, a_hi, a_lo) with a == a_hi + a_lo."""
-    pieces = []
-    for a in xs:
-        ah = a * _SPLIT
-        ah = ah - (ah - a)
-        pieces.append((a, ah, a - ah))
-    return pieces
+def _fixed_point(xs: Sequence[float]) -> tuple[tuple[int, ...], int]:
+    # Finite floats as integers over their largest denominator: xs[k] is
+    # ints[k] / den exactly, since each denominator is a power of two.
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max([d for _, d in ratios], default=1)
+    return tuple([m * (den // d) for m, d in ratios]), den
 
 
 @lru_cache(maxsize=None)
-def _split_row(n: int) -> tuple[tuple[float, ...], list[tuple[float, float, float]]]:
-    # The float row of order n with its pieces; the row is returned so that a
-    # caller can check it split the row it was handed.
-    weights = _weight_row(n).weights
-    return weights, _split_all(weights)
+def _fixed_row(n: int) -> tuple[tuple[int, ...], int]:
+    return _fixed_point(_weight_row(n).weights)
 
 
-def _split_dot(coeffs: Sequence[tuple], values: Sequence[tuple]) -> float:
-    """math.fsum of the Dekker products of pre-split coeffs and values, pair by pair.
-
-    Each product contributes p = a*b and its exact error, or 0.0 when p is not
-    finite; the parts keep the order p_0, err_0, p_1, err_1, ...  Products
-    that overflow to infinities of both signs, or a sum beyond the float
-    range, give NaN where ``math.fsum`` would raise.
-    """
-    parts: list[float] = []
-    append = parts.append
-    for (a, ah, al), (b, bh, bl) in zip(coeffs, values):
-        p = a * b
-        append(p)
-        append(((ah * bh - p) + ah * bl + al * bh) + al * bl if p - p == 0.0 else 0.0)
+def _exact_dot(a: tuple[tuple[int, ...], int], b: tuple[tuple[int, ...], int]) -> float:
+    # sum_k a_k * b_k of two fixed-point vectors, up to the shorter one: exact
+    # in integers, then one correctly rounded int / int; NaN past the float range.
     try:
-        return math.fsum(parts)
-    except (ValueError, OverflowError):
+        return sum(map(operator.mul, a[0], b[0])) / (a[1] * b[1])
+    except OverflowError:
         return math.nan
 
 
@@ -166,20 +150,21 @@ def _neumaier(values) -> object:
 
 
 def compensated_dot(coeffs: Sequence, values: Sequence) -> object:
-    """sum_k coeffs[k] * values[k] with error-free products on the float path.
+    """sum_k coeffs[k] * values[k], rounded once on the float path.
 
-    For float inputs each product is split exactly (Dekker) and the pieces are
-    summed with ``math.fsum``, so the result is the correctly rounded sum of
-    the float products.  Coefficients that are exact in floating point and
-    cancel algebraically (the integer binomial rows of :func:`operator_power`
-    on a constant) therefore give exact zeros.  The float stencil rows do not:
-    they are rounded rationals whose sum is not exactly 0, so a stencil row
-    against a constant c leaves a residue of up to about u * sum|w_k| * |c|.
-    Other numeric types fall back to compensated Neumaier accumulation in the
-    same fixed k order.
+    For float values each product (the coefficient taken as a float) is exact
+    in integers and the sum is rounded once, correctly; a non-finite input, or
+    a sum beyond the float range, gives NaN.  So integer coefficients that
+    cancel (the binomial rows of :func:`operator_power` on a constant) give
+    exact zeros, while a float stencil row, whose sum is not exactly 0, leaves
+    a residue of up to about u * sum|w_k| * |c| against a constant c.  Other
+    numeric types use compensated Neumaier accumulation in fixed k order.
     """
     if all(type(v) is float for v in values):
-        return _split_dot(_split_all(float(c) for c, _ in zip(coeffs, values)), _split_all(values))
+        coeffs = [float(c) for c in coeffs]
+        if all(map(math.isfinite, coeffs)) and all(map(math.isfinite, values)):
+            return _exact_dot(_fixed_point(coeffs), _fixed_point(values))
+        return math.nan
     return _neumaier(c * v for c, v in zip(coeffs, values))
 
 
@@ -216,8 +201,8 @@ class PartialSumTrace:
     """Partial sums Delta(1,h)..Delta(N_max,h) plus the cached grid values.
 
     ``deltas[N-1]`` is recomputable bit-identically from ``cached_values`` and
-    ``stencil_weights(N)`` alone via :func:`delta_from_cache` (it is how the
-    entries are produced in the first place).
+    ``stencil_weights(N)`` alone via :func:`delta_from_cache`, which reduces
+    with the same kernel.
     """
 
     theta: float
@@ -226,37 +211,26 @@ class PartialSumTrace:
     cached_values: tuple[float, ...]
 
 
-class _SplitGrid(list):
-    """An all-float grid as (value, high, low) triples, split once, and its count of leading finite values."""
-
-    def __init__(self, values: Sequence[float]):
-        super().__init__(_split_all(values))
-        self.finite_prefix = next((k for k, v in enumerate(values) if not math.isfinite(v)), len(values))
-
-
 def delta_from_cache(weights: StencilWeights, cached_values: Sequence, h: float) -> float:
     """Delta(N, h) = -(1/h) * sum_k w_k * phi(theta + k*h) from cached values.
 
-    Non-finite cached values yield NaN (callers treat that as "not
-    stabilized") rather than propagating inf-inf artifacts out of the sum.
-    :func:`blend_partial_sums` passes its float grids pre-split (a private
-    ``_SplitGrid``); the result is bit-identical to passing the plain values.
+    A float grid is reduced against the float row ``weights.weights`` by
+    :func:`compensated_dot`.  Other grids (exact rationals, multi-precision
+    floats) take the exact row ``weights.exact``, so the rounding of the
+    weights does not cap their precision.  Non-finite cached values yield NaN
+    (callers treat that as "not stabilized") rather than propagating inf-inf
+    artifacts out of the sum.
     """
     _check_step(h)
     n = weights.order_n
     if len(cached_values) < n + 1:
         raise ValueError(f"need {n + 1} cached values for order {n}, got {len(cached_values)}")
-    if type(cached_values) is _SplitGrid:
-        if n >= cached_values.finite_prefix:
-            return math.nan
-        row_weights, row = _split_row(n)
-        if row_weights is not weights.weights:
-            row = _split_all(weights.weights)
-        return -_split_dot(row, cached_values) / h
     values = cached_values[: n + 1]
+    if all(type(v) is float for v in values):
+        return -compensated_dot(weights.weights, values) / h
     if any(type(v) is float and not math.isfinite(v) for v in values):
         return math.nan
-    return -compensated_dot(weights.weights, values) / h
+    return -_neumaier(w * v for w, v in zip(weights.exact, values)) / h
 
 
 def _evaluate_at(oracle: FunctionOracle, theta, h: float, k: int):
@@ -321,7 +295,13 @@ def blend_partial_sums(
     _check_order(n_max, "n_max")
     _check_step(h)
     values = _evaluate_grid(oracle, theta, h, n_max, max_workers)
-    # Type and finiteness are checked once per grid here, not once per order.
-    grid = _SplitGrid(values) if all(type(v) is float for v in values) else values
-    deltas = tuple([delta_from_cache(_weight_row(n), grid, h) for n in range(1, n_max + 1)])
+    orders = range(1, n_max + 1)
+    if all(type(v) is float for v in values):
+        # delta_from_cache's kernel, with the grid checked and converted once;
+        # the orders that reach the first non-finite slot are NaN.
+        finite = next((k for k, v in enumerate(values) if not math.isfinite(v)), n_max + 1)
+        grid = _fixed_point(values[:finite])
+        deltas = tuple([-_exact_dot(_fixed_row(n), grid) / h if n < finite else math.nan for n in orders])
+    else:
+        deltas = tuple([delta_from_cache(_weight_row(n), values, h) for n in orders])
     return PartialSumTrace(theta=theta, h=h, deltas=deltas, cached_values=tuple(values))

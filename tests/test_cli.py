@@ -305,8 +305,12 @@ class TestEdgeInputs:
             (("direction", "--a", "1", "--theta", "1", "--v", "nan"), 64),
             (("direction", "--a", "1,1", "--theta", "1,1", "--v", "0,0", "--normalize"), 64),
             (("direction", "--a", "1e308", "--theta", "1e308", "--v", "1"), 2),
-            # w_k * f_k overflow to infinities of both signs: NaN partial sums, not a traceback.
-            (("diff", "1e299*theta", "--theta", "1", "--n-max", "40"), 2),
+            # Products w_k * f_k beyond the float range, and values above 2**1023 / (2**27 + 1),
+            # whose Veltkamp split overflows: the exact reduction keeps every partial sum finite.
+            (("diff", "1e299*theta", "--theta", "1", "--n-max", "40"), 0),
+            (("diff", "1.5e300*theta", "--theta", "1", "--h0", "0.1"), 0),
+            # Finite values whose every partial sum (about 2e308) is beyond the float range.
+            (("diff", "1e308*theta^2", "--theta", "1"), 2),
             # Station 1 empties instantly; a pivot tolerance scaled by the whole block used to reject this.
             (("queue", "--mu1", "1e300"), 0),
             (("queue", "--lambda", "1e300", "--h0", "1e297"), 70),
@@ -327,6 +331,8 @@ class TestEdgeInputs:
             payload = json.loads(proc.stdout)
             assert payload["report"]["stabilized"] is False
             assert payload.get("analytic_reference") is None
+            if args[0] == "diff":
+                assert all(row["delta"] is None for row in payload["trace"])
         if code == 70:
             assert proc.stderr.startswith("error: ")
 

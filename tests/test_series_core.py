@@ -7,20 +7,22 @@ import threading
 import time
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blend import series_core
 from blend import (
     ORDER_CAP,
     FunctionOracle,
+    GrowthEnvelope,
     OracleEvaluationError,
     OrderCapError,
     StencilWeights,
     blend_partial_sums,
     delta_from_cache,
     operator_power,
+    solve_k_exact_h,
     stencil_weights,
 )
 
@@ -211,27 +213,20 @@ class TestPartialSums:
         with pytest.raises(OrderCapError):
             blend_partial_sums(oracle, 0.0, 0.1, ORDER_CAP + 1)
 
+    def test_multi_precision_grid_takes_the_exact_row(self):
+        # Sum|w_40| / h is about 3e11, so the float row's rounding alone would
+        # leave an error near 1e-5 however precise the grid is.
+        plan = solve_k_exact_h(GrowthEnvelope(1.0, 1.0), 40, 14)
+        with mp.workdps(40):
+            theta = mp.mpf("0.7")
+            trace = blend_partial_sums(FunctionOracle(mp.sin), theta, mp.mpf(plan.h), 40)
+            assert abs(trace.deltas[-1] - mp.cos(theta)) < 1e-25
+
     def test_non_finite_values_yield_nan_deltas(self):
         oracle = FunctionOracle(lambda t: math.inf if t > 0.5 else t)
         trace = blend_partial_sums(oracle, 0.0, 0.1, 8)
         assert math.isnan(trace.deltas[-1])
         assert trace.deltas[0] == pytest.approx(1.0)
-
-
-def _reference_two_product(a: float, b: float) -> tuple[float, float]:
-    # The Dekker product as the reduction made it once per (N, k) pair,
-    # splitting both factors afresh every time.
-    p = a * b
-    if not math.isfinite(p):
-        return p, 0.0
-    split = 134217729.0
-    ah = a * split
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = b * split
-    bh = bh - (bh - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def _reference_neumaier(terms):
@@ -250,20 +245,17 @@ def _reference_neumaier(terms):
 
 
 def _reference_delta(n: int, values, h: float) -> float:
-    """Delta(N, h) reduced pair by pair: one TwoProduct per (N, k), one fsum per order."""
-    weights = stencil_weights(n).weights
+    """Delta(N, h): the float row's exact sum against a float grid, rounded once; the exact row otherwise."""
     values = list(values[: n + 1])
     if any(type(v) is float and not math.isfinite(v) for v in values):
         return math.nan
     if all(type(v) is float for v in values):
-        parts = []
-        for w, v in zip(weights, values):
-            parts.extend(_reference_two_product(w, v))
+        total = sum(Fraction(w) * Fraction(v) for w, v in zip(stencil_weights(n).weights, values))
         try:
-            return -math.fsum(parts) / h
-        except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
+            return -float(total) / h
+        except OverflowError:  # the exact sum lies beyond the float range
             return math.nan
-    return -_reference_neumaier(w * v for w, v in zip(weights, values)) / h
+    return -_reference_neumaier(w * v for w, v in zip(stencil_weights(n).exact, values)) / h
 
 
 def _outcome(fn):
@@ -284,21 +276,21 @@ _GRIDS = st.one_of(
 )
 
 
-class TestSplitOnceReduction:
-    """Splitting each row once per order and each value once per grid changes no bit."""
+class TestExactReduction:
+    """Every float partial sum is the correctly rounded exact sum of the float products."""
 
     @given(values=_GRIDS, h=st.floats(1e-8, 10.0))
-    @example(values=[1.0, 1e300, 2.0, -1e300], h=0.1)  # just below where the split overflows (1.34e300)
-    @example(values=[0.5, 1.5e300, 0.25], h=0.1)  # 1.5e300 * (2**27 + 1) overflows: NaN halves
-    @example(values=[1e299 * (1.0 + 0.01 * k) for k in range(ORDER_CAP + 1)], h=0.1)  # w_k * v overflows
-    @example(values=[1e300 * (-1) ** k for k in range(33)], h=0.1)  # finite w_k * v, sum past the float range
+    @example(values=[1.0, 1e300, 2.0, -1e300], h=0.1)
+    @example(values=[0.5, 1.5e300, 0.25], h=0.1)  # above 2**1023 / (2**27 + 1): a Veltkamp split would overflow
+    @example(values=[1e299 * (1.0 + 0.01 * k) for k in range(ORDER_CAP + 1)], h=0.1)  # w_k * v overflows, the sum does not
+    @example(values=[1e300 * (-1) ** k for k in range(33)], h=0.1)  # sum past the float range
     @example(values=[5e-324, -0.0, 2.2250738585072014e-308, 0.0, -5e-324, 1e-310], h=1e-3)
     @example(values=[0.1, 0.2, 0.3, math.inf, 0.5, 0.6], h=0.1)
     @example(values=[0.1, 0.2, math.nan, 0.4, 0.5], h=0.1)
     @example(values=[k * k for k in range(ORDER_CAP + 1)], h=0.5)
     @example(values=[Fraction(k * k, 3) for k in range(7)], h=0.25)
     @settings(max_examples=300, deadline=None)
-    def test_matches_pair_by_pair_reduction(self, values, h):
+    def test_matches_exact_reference(self, values, h):
         n_max = len(values) - 1
         orders = range(1, n_max + 1)
         expected = [_outcome(lambda n=n: [_reference_delta(n, values, h)]) for n in orders]
@@ -313,13 +305,18 @@ class TestSplitOnceReduction:
         failure = next((e for e in expected if isinstance(e, tuple)), None)
         assert _outcome(sweep) == (failure or [bits for (bits,) in expected])
 
-    def test_pre_split_grid_reduces_the_row_it_is_given(self):
-        # The cached pieces stand in only for the cached row itself.
+    def test_custom_row_is_reduced_as_given(self):
+        # delta_from_cache reduces the row it is handed, not the cached row of its order.
         values = [math.exp(0.1 * k) for k in range(5)]
         row = StencilWeights(order_n=4, weights=(1.0, -4.0, 6.0, -4.0, 1.0), exact=())
-        expected = delta_from_cache(row, values, 0.1)
-        assert delta_from_cache(row, series_core._SplitGrid(values), 0.1) == expected
+        expected = -operator_power(FunctionOracle(math.exp), 0.0, 0.1, 4, cache=values) / 0.1
+        assert delta_from_cache(row, values, 0.1) == expected
         assert expected != delta_from_cache(stencil_weights(4), values, 0.1)
+
+    def test_overflowing_products_leave_every_order_finite(self):
+        trace = blend_partial_sums(FunctionOracle(lambda t: 1e299 * t), 1.0, 0.01, ORDER_CAP)
+        assert all(math.isfinite(d) for d in trace.deltas)
+        assert trace.deltas[0] == pytest.approx(1e299, rel=1e-12)
 
     def test_non_finite_slot_poisons_only_the_orders_that_reach_it(self):
         for bad in (math.inf, -math.inf, math.nan):
