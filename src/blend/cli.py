@@ -11,7 +11,9 @@ output file that cannot be written included), 70 runtime failure (an oracle
 evaluation or the queue's stationary solve).
 Output formats: human table (default), csv, json; identical invocations
 produce byte-identical output.  The BLEND_THREADS environment variable caps
-concurrent oracle evaluations (0 = serial) without affecting any output byte.
+concurrent oracle evaluations (0 = serial) without affecting any output byte;
+the queue's oracle takes each grid as one stacked solve, so it does not apply
+there.
 """
 
 from __future__ import annotations

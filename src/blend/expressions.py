@@ -12,7 +12,9 @@ tighter than unary minus)::
 
 No ``eval``: the input is tokenized and compiled to nested closures over the
 single variable ``theta``.  Domain errors (``ln`` of a negative number,
-division by zero) surface at evaluation time as ``ValueError``.
+division by zero, ``0 ^ -1``) surface at evaluation time as ``ValueError``.
+A result too large for a float is ±inf, from ``exp`` and ``^`` as from
+``*``, so the driver treats it as a non-finite grid value.
 """
 
 from __future__ import annotations
@@ -30,10 +32,19 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))"
 )
 
+
+def _exp(x: float) -> float:
+    """exp(x), or inf where it is too large for a float, as ``*`` gives."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 _FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sin": math.sin,
     "cos": math.cos,
-    "exp": math.exp,
+    "exp": _exp,
     "ln": math.log,
 }
 
@@ -163,8 +174,14 @@ def _div(a: float, b: float) -> float:
 def _pow(a: float, b: float) -> float:
     try:
         result = a**b
-    except (OverflowError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ValueError(f"invalid power {a!r} ^ {b!r}: {exc}") from exc
+    except OverflowError:
+        # Too large for a float: -inf for a negative base and an odd exponent,
+        # inf otherwise; a negative base needs an integer exponent to be real.
+        if a < 0 and not float(b).is_integer():
+            raise ValueError(f"power {a!r} ^ {b!r} is not real") from None
+        return -math.inf if a < 0 and b % 2 == 1 else math.inf
     if isinstance(result, complex):
         raise ValueError(f"power {a!r} ^ {b!r} is not real")
     return result

@@ -8,6 +8,9 @@ block-tridiagonal generator is solved level by level, so the blocking
 probability is an ordinary numerically-evaluated function of the arrival rate.
 One Gauss-Jordan kernel on M-matrix blocks eliminates every level, level 0
 included: it fixes the empty state's probability instead of a normalization row.
+The kernel and the solve run on a stack of arrival rates, the rates on the last
+axis of every array, so a whole stencil grid costs one pass of numpy calls; each
+rate in a stack gets the same bits as its own solve.
 """
 
 from __future__ import annotations
@@ -242,51 +245,103 @@ class StationaryDistribution:
 
 
 def _level_inverse(s: np.ndarray) -> np.ndarray:
-    """Inverse of a censored level block by in-place Gauss-Jordan without row swaps.
+    """Inverses of a stack of censored level blocks, shape (n, n, B), by Gauss-Jordan.
 
-    Each block is the negative of a nonsingular M-matrix, so every pivot is
-    nonzero without pivoting.  Pivot k at or below n * eps * max|s[k, :]|
-    raises :class:`SingularGeneratorError`; scaling by its own row keeps rates
-    orders of magnitude apart in other rows from passing for a lost pivot.
-    Rank-1 updates are elementwise numpy products, never BLAS, so the result
-    is bit-identical under any BLAS threading.
+    The batch is the last axis: each numpy call below does one step for every
+    member, and every member goes through the same elementwise operations in
+    the same order as it would alone, so its inverse has the same bits in a
+    stack of any size.  There are no row swaps: each block is the negative
+    of a nonsingular M-matrix, so every pivot is nonzero without pivoting.
+    Pivot k at or below n * eps * max|s[k, :]| of its own member raises
+    :class:`SingularGeneratorError` naming the first such member's pivot;
+    scaling by its own row keeps rates orders of magnitude apart in other
+    rows from passing for a lost pivot.  Rank-1 updates are elementwise numpy
+    products, never BLAS, so the result is bit-identical under any BLAS
+    threading.
     """
     import numpy as np
     a = np.array(s, dtype=float)
     n = a.shape[0]
     tol = n * _EPS * np.abs(a).max(axis=1)
     for k in range(n):
-        pivot = a.item(k, k)
-        if abs(pivot) <= tol.item(k):
-            raise SingularGeneratorError(f"pivot {k} ({pivot!r}) is singular to working precision")
+        factors = a[:, k].copy()
+        pivot = factors[k]
+        lost = np.abs(pivot) <= tol[k]
+        if np.count_nonzero(lost):
+            raise SingularGeneratorError(f"pivot {k} ({pivot[lost.argmax()].item()!r}) is singular to working precision")
         # Column k of the working array turns into column k of the inverse:
         # clear it, scale the pivot row, then eliminate with one rank-1 update.
-        factors = a[:, k].copy()
-        factors[k] = 0.0
         a[:, k] = 0.0
         a[k, k] = 1.0
         a[k] /= pivot
+        factors[k] = 0.0
         a -= factors[:, None] * a[k]
     return a
 
 
-def _outflow(model: TandemQueueModel) -> np.ndarray:
-    """Total rate out of each state, indexed [n1, n2]: the negated generator diagonal."""
-    import numpy as np
-    out = np.zeros((model.cap1 + 1, model.cap2 + 1))
-    out[1:, :-1] += model.mu1  # station-1 completions, halted while station 2 is full
-    out[:, 1:] += model.mu2  # station-2 completions
-    out[:-1] += model.arrival_rate  # arrivals, lost while station 1 is full
-    return out
-
-
 def _local_block(outflow: np.ndarray, mu2: float) -> np.ndarray:
-    """Generator block within one level: station-2 completions n2 -> n2-1 and the diagonal."""
+    """Generator blocks within one level: station-2 completions n2 -> n2-1 and the diagonal.
+
+    ``outflow`` is the level's outflow per state and rate, shape (cap2+1, B).
+    """
     import numpy as np
-    block = np.diag(-outflow)
-    n2 = np.arange(1, outflow.size)
-    block[n2, n2 - 1] = mu2
+    size = outflow.shape[0]
+    block = np.zeros((size, size, outflow.shape[1]))
+    n2 = np.arange(size)
+    block[n2, n2] = -outflow
+    block[n2[1:], n2[:-1]] = mu2
     return block
+
+
+def _solve_stack(model: TandemQueueModel, arrival_rates: Sequence[float]) -> list[StationaryDistribution]:
+    """Stationary distributions of ``model`` at each of ``arrival_rates``, solved as one stack.
+
+    The method is :func:`solve_stationary`'s.  Every array carries the rates
+    on its last axis, so each numpy call serves the whole stack, and each
+    member goes through the operations of a stack of one in the same order:
+    member b has the same bits as ``solve_stationary`` at
+    ``arrival_rates[b]``.  ``model.arrival_rate`` is not used.  Raises
+    :class:`SingularGeneratorError` when a pivot of any member vanishes to
+    working precision.
+    """
+    import numpy as np
+    lam = np.array(arrival_rates, dtype=float)
+    mu1, mu2 = model.mu1, model.mu2
+    # Total rate out of each state, indexed [n1, n2, b]: the negated generator diagonal.
+    outflow = np.zeros((model.cap1 + 1, model.cap2 + 1, lam.size))
+    outflow[1:, :-1] += mu1  # station-1 completions, halted while station 2 is full
+    outflow[:, 1:] += mu2  # station-2 completions
+    outflow[:-1] += lam  # arrivals, lost while station 1 is full
+    inner = _local_block(outflow[1], mu2)  # levels 1..cap1-1 share one block
+    local = [_local_block(outflow[0], mu2)] + [inner] * (model.cap1 - 1) + [_local_block(outflow[-1], mu2)]
+    rates = [None] * (model.cap1 + 1)
+    censored = local[-1]
+    for j in range(model.cap1, 0, -1):
+        rates[j] = -lam * _level_inverse(censored)
+        # D has mu1 on the superdiagonal, so R_j D is a column shift of R_j.
+        censored = local[j - 1].copy()
+        censored[:, 1:] += mu1 * rates[j][:, :-1]
+    # pi_0 S_0 = 0 with pi_0[0] = 1: the other states of level 0 drain to
+    # (0, 0) at rate mu2, so -S_0[1:, 1:] is a nonsingular M-matrix as well.
+    first = np.ones((model.cap2 + 1, lam.size))
+    first[1:] = np.add.reduce(-censored[0, 1:, None] * _level_inverse(censored[1:, 1:]), axis=0)
+    levels = [first]
+    for j in range(1, model.cap1 + 1):
+        # pi_{j-1} R_j as products summed in row order, not a BLAS product
+        levels.append(np.add.reduce(levels[-1][:, None] * rates[j], axis=0))
+    # One contiguous row per rate, so each total is the same pairwise sum as
+    # that of a single vector.
+    pi = np.concatenate(levels).T.copy()
+    pi /= np.sum(pi, axis=1, keepdims=True)
+    # pi Q block by block: the local blocks, arrivals from the level below and
+    # station-1 completions from the level above.
+    by_level = pi.reshape(lam.size, model.cap1 + 1, model.cap2 + 1)
+    balance = -outflow.transpose(2, 0, 1) * by_level
+    balance[:, :, :-1] += mu2 * by_level[:, :, 1:]
+    balance[:, 1:] += lam[:, None, None] * by_level[:, :-1]
+    balance[:, :-1, 1:] += mu1 * by_level[:, 1:, :-1]
+    residuals = np.max(np.abs(balance), axis=(1, 2))
+    return [StationaryDistribution(probabilities=row, residual_norm=float(r)) for row, r in zip(pi, residuals)]
 
 
 def solve_stationary(model: TandemQueueModel) -> StationaryDistribution:
@@ -312,40 +367,12 @@ def solve_stationary(model: TandemQueueModel) -> StationaryDistribution:
     eliminating from level 0 upward would invert L_0, which is singular
     without arrivals.
 
-    Raises :class:`SingularGeneratorError` when a pivot vanishes to working
+    This is the stack of one of :func:`_solve_stack`, which solves a grid of
+    rates together and gives each the bits of its own solve.  Raises
+    :class:`SingularGeneratorError` when a pivot vanishes to working
     precision.  ``residual_norm`` is ||pi Q||_inf evaluated from the blocks.
     """
-    import numpy as np
-    lam, mu1, mu2 = model.arrival_rate, model.mu1, model.mu2
-    outflow = _outflow(model)
-    inner = _local_block(outflow[1], mu2)  # levels 1..cap1-1 share one block
-    local = [_local_block(outflow[0], mu2)] + [inner] * (model.cap1 - 1) + [_local_block(outflow[-1], mu2)]
-    rates = [None] * (model.cap1 + 1)
-    censored = local[-1]
-    for j in range(model.cap1, 0, -1):
-        rates[j] = -lam * _level_inverse(censored)
-        # D has mu1 on the superdiagonal, so R_j D is a column shift of R_j.
-        censored = local[j - 1].copy()
-        censored[:, 1:] += mu1 * rates[j][:, :-1]
-    # pi_0 S_0 = 0 with pi_0[0] = 1: the other states of level 0 drain to
-    # (0, 0) at rate mu2, so -S_0[1:, 1:] is a nonsingular M-matrix as well.
-    first = np.ones(model.cap2 + 1)
-    first[1:] = np.add.reduce(-censored[0, 1:, None] * _level_inverse(censored[1:, 1:]), axis=0)
-    levels = [first]
-    for j in range(1, model.cap1 + 1):
-        # pi_{j-1} R_j by pairwise column sums instead of a BLAS product
-        levels.append(np.add.reduce(levels[-1][:, None] * rates[j], axis=0))
-    pi = np.concatenate(levels)
-    pi /= float(np.sum(pi))
-    # pi Q block by block: the local blocks, arrivals from the level below and
-    # station-1 completions from the level above.
-    by_level = pi.reshape(outflow.shape)
-    balance = -outflow * by_level
-    balance[:, :-1] += mu2 * by_level[:, 1:]
-    balance[1:] += lam * by_level[:-1]
-    balance[:-1, 1:] += mu1 * by_level[1:, :-1]
-    residual = float(np.max(np.abs(balance)))
-    return StationaryDistribution(probabilities=pi, residual_norm=residual)
+    return _solve_stack(model, [model.arrival_rate])[0]
 
 
 def blocking_mass(model: TandemQueueModel, probabilities: np.ndarray) -> float:
@@ -367,17 +394,30 @@ def blocking_probability(model: TandemQueueModel) -> float:
 def queue_sensitivity_oracle(base: TandemQueueModel) -> FunctionOracle:
     """Oracle mapping an arrival rate to the model's blocking probability.
 
-    Each evaluation builds and solves its own generator, so the oracle is safe
-    for concurrent evaluation.  Arrival rates <= 0 are rejected: a stencil
-    can only request one if the step is too large relative to the base rate.
+    A grid of rates is one stacked solve (:func:`_solve_stack`), the oracle's
+    ``batch``; a single rate is the stack of one, with the same bits.  Every
+    call solves its own stack and shares nothing, so the oracle is safe for
+    concurrent evaluation.  Arrival rates <= 0 are rejected before anything
+    is solved: a stencil can only request one if the step is too large
+    relative to the base rate.
     """
 
-    def evaluate(arrival_rate: float) -> float:
+    def checked(arrival_rate: float) -> float:
         if not (arrival_rate > 0 and math.isfinite(arrival_rate)):
             raise ValueError(
                 f"stencil requested arrival rate {arrival_rate!r} <= 0; "
                 "reduce the step size relative to the base rate"
             )
-        return blocking_probability(dataclasses.replace(base, arrival_rate=arrival_rate))
+        # The model's own validation, as for a single model.
+        return dataclasses.replace(base, arrival_rate=arrival_rate).arrival_rate
 
-    return FunctionOracle(evaluate, parallel_safe=True, name="tandem-queue blocking probability")
+    def blocking(arrival_rates: Sequence[float]) -> list[float]:
+        stack = _solve_stack(base, [checked(rate) for rate in arrival_rates])
+        return [blocking_mass(base, member.probabilities) for member in stack]
+
+    return FunctionOracle(
+        lambda arrival_rate: blocking([arrival_rate])[0],
+        parallel_safe=True,
+        batch=blocking,
+        name="tandem-queue blocking probability",
+    )

@@ -34,15 +34,25 @@ class FunctionOracle:
         parallel_safe: Whether concurrent calls to ``fn`` are allowed. When
             False, grid evaluations are performed strictly sequentially.
         name: Optional label used in error messages and CLI output.
+        batch: Optional function of a list of points that returns their
+            values in one call, for an oracle that evaluates many points
+            more cheaply together than one by one.  Its contract: the values
+            are bit-identical to ``[fn(p) for p in points]``, and where
+            ``fn`` would raise for some point, ``batch`` raises.
 
     The counter includes failed evaluations (it counts invocations) and is
-    guarded by a lock so it stays exact under concurrent evaluation.
+    guarded by a lock so it stays exact under concurrent evaluation.  A call
+    of :meth:`evaluate_many` counts one invocation per point, whether it
+    succeeds or raises.
     """
 
-    def __init__(self, fn: Callable, *, parallel_safe: bool = False, name: str | None = None):
+    def __init__(
+        self, fn: Callable, *, parallel_safe: bool = False, name: str | None = None, batch: Callable | None = None
+    ):
         self._fn = fn
         self.parallel_safe = bool(parallel_safe)
         self.name = name
+        self.batch = batch
         self._count = 0
         self._lock = threading.Lock()
 
@@ -52,9 +62,25 @@ class FunctionOracle:
             self._count += 1
         return self._fn(theta)
 
+    def evaluate_many(self, points) -> list:
+        """Values at every point: one call of ``batch``, or ``fn`` point by point without one.
+
+        Counts ``len(points)`` invocations.  The values are those of
+        :meth:`evaluate` at each point, bit for bit.
+        """
+        points = list(points)
+        with self._lock:
+            self._count += len(points)
+        if self.batch is None:
+            return [self._fn(point) for point in points]
+        values = list(self.batch(points))
+        if len(values) != len(points):
+            raise ValueError(f"batch returned {len(values)} values for {len(points)} points")
+        return values
+
     @property
     def eval_count(self) -> int:
-        """Number of ``evaluate`` invocations since construction."""
+        """Number of evaluations since construction: ``evaluate`` calls plus the points of ``evaluate_many`` calls."""
         return self._count
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

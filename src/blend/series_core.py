@@ -261,6 +261,11 @@ def _resolve_workers(max_workers: int | None) -> int:
 def _evaluate_grid(oracle: FunctionOracle, theta, h: float, n_max: int, max_workers: int | None) -> list:
     workers = _resolve_workers(max_workers)
     ks = range(n_max + 1)
+    if oracle.batch is not None:
+        try:
+            return oracle.evaluate_many([theta + k * h for k in ks])
+        except Exception:
+            pass  # evaluated again point by point below, which names the lowest failing slot
     if not oracle.parallel_safe or workers <= 1:
         # Strictly sequential in increasing k for oracles that demand it.
         return [_evaluate_at(oracle, theta, h, k) for k in ks]
@@ -281,12 +286,16 @@ def blend_partial_sums(
 ) -> PartialSumTrace:
     """Evaluate the grid once and compute Delta(N, h) for N = 1..n_max.
 
-    phi(theta + k*h) is evaluated exactly once per k; evaluations run
+    phi(theta + k*h) is evaluated exactly once per k.  An oracle with a
+    ``batch`` receives the whole grid in one :meth:`FunctionOracle.evaluate_many`
+    call, and the worker budget does not apply to it; should the batch
+    raise, the grid is evaluated again point by point, as below, so that the
+    error names the lowest failing slot.  Other oracles' evaluations run
     concurrently when the oracle declares ``parallel_safe`` and the worker
     budget (``max_workers``, defaulting to the BLEND_THREADS environment
     variable) exceeds one.  Results are deposited into slot k and the
-    reduction is always performed serially in fixed index order, so serial and
-    parallel runs produce bit-identical traces.
+    reduction is always performed serially in fixed index order, so serial,
+    parallel and batched runs produce bit-identical traces.
 
     Raises:
         OracleEvaluationError: an evaluation failed; the failing grid slot is

@@ -32,6 +32,7 @@ from blend import (
     TandemQueueModel,
     agreed_significant_digits,
     blend_partial_sums,
+    blocking_probability,
     directional_oracle,
     operator_power,
     operator_power_bound,
@@ -311,6 +312,18 @@ def test_criterion_10_thread_determinism():
         threaded = blend_partial_sums(threaded_oracle, 1.0, 0.01, 8, max_workers=4)
         assert serial.deltas == threaded.deltas
         assert serial.cached_values == threaded.cached_values
+        # The queue oracle evaluates its grid as one stacked solve, so no pool
+        # starts above; the same function point by point runs on four threads.
+        def per_point():
+            return FunctionOracle(
+                lambda rate: blocking_probability(TandemQueueModel(rate, 1.0, 2.0, 10, 10)), parallel_safe=True
+            )
+
+        plain_serial = blend_partial_sums(per_point(), 1.0, 0.01, 8, max_workers=0)
+        plain_threaded = blend_partial_sums(per_point(), 1.0, 0.01, 8, max_workers=4)
+        assert plain_serial.deltas == plain_threaded.deltas
+        assert plain_serial.cached_values == plain_threaded.cached_values
+        assert plain_serial.cached_values == serial.cached_values
         # CLI level: byte-identical stdout for every output format
         invocations = [
             ("diff", "sin", "--h0", "0.1", "--format", "json"),

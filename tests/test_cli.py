@@ -311,6 +311,8 @@ class TestEdgeInputs:
             (("diff", "1.5e300*theta", "--theta", "1", "--h0", "0.1"), 0),
             # Finite values whose every partial sum (about 2e308) is beyond the float range.
             (("diff", "1e308*theta^2", "--theta", "1"), 2),
+            # exp overflows to inf beyond the finite value at theta, like a product: the driver refines.
+            (("diff", "exp(theta)", "--theta", "709.75", "--h0", "0.02"), 0),
             # Station 1 empties instantly; a pivot tolerance scaled by the whole block used to reject this.
             (("queue", "--mu1", "1e300"), 0),
             (("queue", "--lambda", "1e300", "--h0", "1e297"), 70),
@@ -335,6 +337,12 @@ class TestEdgeInputs:
                 assert all(row["delta"] is None for row in payload["trace"])
         if code == 70:
             assert proc.stderr.startswith("error: ")
+
+    def test_overflowing_exp_refines_below_the_float_range(self):
+        # theta + 2h = 709.79 overflows exp; steps of h0/8 keep the grid finite.
+        report = run_json("diff", "exp(theta)", "--theta", "709.75", "--h0", "0.02")["report"]
+        assert (report["value"], report["agreed_digits"]) == (1.73983687e308, 9)
+        assert (report["refinements"], report["eval_count"]) == (3, 36)
 
     @pytest.mark.parametrize(
         "v, unit",

@@ -60,3 +60,23 @@ class TestErrors:
             compile_expression("ln(theta)")(-1.0)
         with pytest.raises(ValueError):
             compile_expression("theta^0.5")(-4.0)
+        with pytest.raises(ValueError, match="negative power"):
+            compile_expression("0^theta")(-1.0)
+        with pytest.raises(ValueError, match="not real"):
+            compile_expression("theta^400.5")(-10.0)
+
+    @pytest.mark.parametrize(
+        "text, theta, expected",
+        [
+            ("exp(theta)", 710.0, math.inf),
+            ("exp(theta)", 709.75, math.exp(709.75)),
+            ("theta^400", 10.0, math.inf),
+            ("theta^400", -10.0, math.inf),
+            ("theta^401", -10.0, -math.inf),
+            ("theta^-2001", -0.5, -math.inf),
+            ("theta^1e300", -10.0, math.inf),
+            ("1e200*theta", 1e200, math.inf),
+        ],
+    )
+    def test_overflow_is_infinite(self, text, theta, expected):
+        assert compile_expression(text)(theta) == expected

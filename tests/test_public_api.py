@@ -54,8 +54,17 @@ def test_public_names_are_pinned():
 
 
 def test_import_leaves_numpy_unloaded():
-    # Only the tandem queue needs numpy; it is imported when a queue function runs.
+    # Only the tandem queue needs numpy; it is imported when a queue function
+    # runs, and an analytic command leaves it unloaded too.
     env = dict(os.environ, PYTHONPATH=str(Path(blend.__file__).resolve().parents[1]))
-    code = "import sys, blend, blend.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys, blend, blend.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "assert blend.cli.main(['diff', 'sin', '--format', 'json']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[1].startswith('{"command":"diff"')
+    assert lines[-1] == "False"

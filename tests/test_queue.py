@@ -24,7 +24,7 @@ from blend import (
     run_blend,
     solve_stationary,
 )
-from blend.models import _level_inverse
+from blend.models import _level_inverse, _solve_stack
 
 REFERENCE_MODEL = TandemQueueModel(arrival_rate=1.0, mu1=1.0, mu2=2.0, cap1=10, cap2=10)
 
@@ -158,7 +158,12 @@ class TestStationary:
 
     def test_singular_system_raises(self):
         with pytest.raises(SingularGeneratorError, match="pivot"):
-            _level_inverse(np.zeros((3, 3)))
+            _level_inverse(np.zeros((3, 3, 1)))
+
+    def test_singular_member_names_its_own_pivot(self):
+        stack = np.stack([-2.0 * np.eye(3), np.diag([-1.0, 0.0, -1.0])], axis=-1)
+        with pytest.raises(SingularGeneratorError, match=r"pivot 1 \(0\.0\)"):
+            _level_inverse(stack)
 
     def test_probabilities_are_frozen(self):
         result = solve_stationary(TandemQueueModel(1.0, 1.0, 1.0, 1, 1))
@@ -197,8 +202,12 @@ class TestStationary:
     def test_bytes_identical_across_blas_threads(self):
         script = (
             "from blend import TandemQueueModel, solve_stationary\n"
+            "from blend import queue_sensitivity_oracle\n"
             "for caps in ((10, 10), (20, 3), (3, 20), (40, 40)):\n"
-            "    print(solve_stationary(TandemQueueModel(1.3, 0.9, 1.7, *caps)).probabilities.tobytes().hex())\n"
+            "    model = TandemQueueModel(1.3, 0.9, 1.7, *caps)\n"
+            "    print(solve_stationary(model).probabilities.tobytes().hex())\n"
+            "    grid = queue_sensitivity_oracle(model).evaluate_many([1.3 + k * 0.01 for k in range(9)])\n"
+            "    print(' '.join(value.hex() for value in grid))\n"
         )
         outputs = []
         src = str(Path(blend.__file__).resolve().parents[1])
@@ -208,7 +217,99 @@ class TestStationary:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
-        assert len(outputs[0].splitlines()) == 4
+        assert len(outputs[0].splitlines()) == 8
+
+
+def _unstacked_inverse(s: np.ndarray) -> np.ndarray:
+    # The elimination of one block, as it ran before the solve was stacked.
+    a = np.array(s, dtype=float)
+    n = a.shape[0]
+    tol = n * np.finfo(float).eps * np.abs(a).max(axis=1)
+    for k in range(n):
+        pivot = a.item(k, k)
+        assert abs(pivot) > tol.item(k)
+        factors = a[:, k].copy()
+        factors[k] = 0.0
+        a[:, k] = 0.0
+        a[k, k] = 1.0
+        a[k] /= pivot
+        a -= factors[:, None] * a[k]
+    return a
+
+
+def _unstacked_solve(model: TandemQueueModel) -> tuple[bytes, float]:
+    # Reference for the bits: the level reduction of one model, one rate at a
+    # time, as it ran before the solve was stacked.
+    lam, mu1, mu2 = model.arrival_rate, model.mu1, model.mu2
+    outflow = np.zeros((model.cap1 + 1, model.cap2 + 1))
+    outflow[1:, :-1] += mu1
+    outflow[:, 1:] += mu2
+    outflow[:-1] += lam
+
+    def local_block(out):
+        block = np.diag(-out)
+        n2 = np.arange(1, out.size)
+        block[n2, n2 - 1] = mu2
+        return block
+
+    local = [local_block(row) for row in outflow]
+    rates = [None] * (model.cap1 + 1)
+    censored = local[-1]
+    for j in range(model.cap1, 0, -1):
+        rates[j] = -lam * _unstacked_inverse(censored)
+        censored = local[j - 1].copy()
+        censored[:, 1:] += mu1 * rates[j][:, :-1]
+    first = np.ones(model.cap2 + 1)
+    first[1:] = np.add.reduce(-censored[0, 1:, None] * _unstacked_inverse(censored[1:, 1:]), axis=0)
+    levels = [first]
+    for j in range(1, model.cap1 + 1):
+        levels.append(np.add.reduce(levels[-1][:, None] * rates[j], axis=0))
+    pi = np.concatenate(levels)
+    pi /= float(np.sum(pi))
+    by_level = pi.reshape(outflow.shape)
+    balance = -outflow * by_level
+    balance[:, :-1] += mu2 * by_level[:, 1:]
+    balance[1:] += lam * by_level[:-1]
+    balance[:-1, 1:] += mu1 * by_level[1:, :-1]
+    return pi.tobytes(), float(np.max(np.abs(balance)))
+
+
+def _same_solution(stacked, model: TandemQueueModel) -> bool:
+    single = solve_stationary(model)
+    bits = (stacked.probabilities.tobytes(), repr(stacked.residual_norm))
+    reference = _unstacked_solve(model)
+    return bits == (single.probabilities.tobytes(), repr(single.residual_norm)) == (reference[0], repr(reference[1]))
+
+
+class TestStackedSolve:
+    """One stacked level reduction gives each rate the bits of its own solve."""
+
+    @pytest.mark.parametrize("caps", [(1, 40), (40, 1), (40, 40)], ids=lambda c: f"{c[0]}x{c[1]}")
+    @pytest.mark.parametrize("size", [3, 9, 41])
+    def test_matches_one_solve_per_rate(self, caps, size):
+        base = TandemQueueModel(1.0, 1.3, 0.8, *caps)
+        rates = [0.9 + k * 0.0123 for k in range(size)]
+        stack = _solve_stack(base, rates)
+        assert len(stack) == size
+        for rate, member in zip(rates, stack):
+            assert _same_solution(member, TandemQueueModel(rate, 1.3, 0.8, *caps))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        cap1=st.integers(1, 12),
+        cap2=st.integers(1, 12),
+        service=st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0)),
+        rates=st.lists(st.floats(0.0, 20.0), min_size=3, max_size=41),
+    )
+    def test_matches_one_solve_per_rate_random(self, cap1, cap2, service, rates):
+        stack = _solve_stack(TandemQueueModel(1.0, *service, cap1, cap2), rates)
+        for rate, member in zip(rates, stack):
+            assert _same_solution(member, TandemQueueModel(rate, *service, cap1, cap2))
+
+    def test_stack_of_one_is_solve_stationary(self):
+        (member,) = _solve_stack(REFERENCE_MODEL, [REFERENCE_MODEL.arrival_rate])
+        assert _same_solution(member, REFERENCE_MODEL)
+        assert not member.probabilities.flags.writeable
 
 
 class TestBlocking:
@@ -259,6 +360,20 @@ class TestSensitivityOracle:
         oracle = queue_sensitivity_oracle(REFERENCE_MODEL)
         with pytest.raises(ValueError, match="reduce the step"):
             oracle.evaluate(0.0)
+
+    def test_grid_batch_matches_point_by_point(self):
+        points = [0.95 + k * 0.01 for k in range(9)]
+        batched = queue_sensitivity_oracle(REFERENCE_MODEL)
+        single = queue_sensitivity_oracle(REFERENCE_MODEL)
+        values = batched.evaluate_many(points)
+        assert [v.hex() for v in values] == [single.evaluate(p).hex() for p in points]
+        assert [v.hex() for v in values] == [blocking_probability(TandemQueueModel(p, 1.0, 2.0, 10, 10)).hex() for p in points]
+        assert batched.eval_count == 9
+
+    def test_batch_rejects_nonpositive_rate(self):
+        oracle = queue_sensitivity_oracle(REFERENCE_MODEL)
+        with pytest.raises(ValueError, match=r"rate -0\.01 <= 0; reduce the step"):
+            oracle.evaluate_many([0.02, 0.01, -0.01])
 
     def test_parallel_and_counting(self):
         oracle = queue_sensitivity_oracle(REFERENCE_MODEL)

@@ -378,6 +378,36 @@ class TestParallelism:
         assert err.value.index == 1
         assert oracle.eval_count == 9
 
+    @pytest.mark.parametrize("workers", [0, 4])
+    def test_batched_oracle_takes_the_grid_in_one_call(self, workers):
+        calls = []
+
+        def batch(points):
+            calls.append(points)
+            return [math.sin(p) for p in points]
+
+        batched = FunctionOracle(lambda t: pytest.fail("fn called"), parallel_safe=True, batch=batch)
+        plain = FunctionOracle(math.sin, parallel_safe=True)
+        trace = blend_partial_sums(batched, 0.2, 0.03, 12, max_workers=workers)
+        assert calls == [[0.2 + k * 0.03 for k in range(13)]]
+        assert trace == blend_partial_sums(plain, 0.2, 0.03, 12, max_workers=0)
+        assert batched.eval_count == 13
+
+    @pytest.mark.parametrize("workers", [0, 4])
+    def test_failed_batch_reports_lowest_failing_slot(self, workers):
+        def fn(t):
+            if t >= 0.3:
+                raise RuntimeError("nope")
+            return t
+
+        def batch(points):
+            raise RuntimeError("batch down")
+
+        oracle = FunctionOracle(fn, parallel_safe=True, batch=batch, name="box")
+        with pytest.raises(OracleEvaluationError, match=r"box failed at grid point theta \+ 3\*h = 0\.30000000000000004: nope") as err:
+            blend_partial_sums(oracle, 0.0, 0.1, 8, max_workers=workers)
+        assert err.value.index == 3
+
     def test_env_variable_controls_default(self, monkeypatch):
         monkeypatch.setenv("BLEND_THREADS", "notanumber")
         oracle = FunctionOracle(math.sin, parallel_safe=True)
