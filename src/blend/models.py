@@ -274,7 +274,7 @@ def _level_inverse(s: np.ndarray) -> np.ndarray:
         a[:, k] = 0.0
         a[k, k] = 1.0
         a[k] /= pivot
-        factors[k] = 0.0
+        factors[k] = 0.0  # only now: pivot is a view of factors[k]
         a -= factors[:, None] * a[k]
     return a
 

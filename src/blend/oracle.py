@@ -42,8 +42,8 @@ class FunctionOracle:
 
     The counter includes failed evaluations (it counts invocations) and is
     guarded by a lock so it stays exact under concurrent evaluation.  A call
-    of :meth:`evaluate_many` counts one invocation per point, whether it
-    succeeds or raises.
+    of :meth:`evaluate_many` counts one invocation per point, whether the
+    batch succeeds or raises.
     """
 
     def __init__(
@@ -63,16 +63,18 @@ class FunctionOracle:
         return self._fn(theta)
 
     def evaluate_many(self, points) -> list:
-        """Values at every point: one call of ``batch``, or ``fn`` point by point without one.
+        """Values at every point in one call of ``batch``, which the oracle must have.
 
         Counts ``len(points)`` invocations.  The values are those of
-        :meth:`evaluate` at each point, bit for bit.
+        :meth:`evaluate` at each point, bit for bit.  Raises ``TypeError``
+        without a ``batch`` and ``ValueError`` when the batch returns a list
+        of another length.
         """
+        if self.batch is None:
+            raise TypeError("evaluate_many needs an oracle with a batch")
         points = list(points)
         with self._lock:
             self._count += len(points)
-        if self.batch is None:
-            return [self._fn(point) for point in points]
         values = list(self.batch(points))
         if len(values) != len(points):
             raise ValueError(f"batch returned {len(values)} values for {len(points)} points")

@@ -11,10 +11,10 @@ reproduces are reported as mismatches rather than papered over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .blend_driver import BlendConfig, DirectionSpec, directional_oracle, run_blend
-from .models import CATALOG, TandemQueueModel, blocking_probability, quadratic_form, queue_sensitivity_oracle
+from .models import CATALOG, TandemQueueModel, _solve_stack, blocking_mass, quadratic_form, queue_sensitivity_oracle
 from .oracle import FunctionOracle
 # Unused here; kept importable under this name for perfbench/spans.py, which wraps it.
 from .series_core import blend_partial_sums  # noqa: F401
@@ -181,9 +181,10 @@ def _experiment(number: int) -> tuple[FunctionOracle, float, float]:
         return oracle, 0.0, quadratic.reference_derivative(DIRECTIONAL_THETA, DIRECTIONAL_DIRECTION)
     if number == 5:
         step = 1e-5
-        lo = blocking_probability(replace(QUEUE_MODEL, arrival_rate=QUEUE_MODEL.arrival_rate - step))
-        hi = blocking_probability(replace(QUEUE_MODEL, arrival_rate=QUEUE_MODEL.arrival_rate + step))
-        return queue_sensitivity_oracle(QUEUE_MODEL), QUEUE_MODEL.arrival_rate, (hi - lo) / (2.0 * step)
+        lam = QUEUE_MODEL.arrival_rate
+        # Both sides as one stack: each member has the bits of its own solve.
+        lo, hi = (blocking_mass(QUEUE_MODEL, side.probabilities) for side in _solve_stack(QUEUE_MODEL, [lam - step, lam + step]))
+        return queue_sensitivity_oracle(QUEUE_MODEL), lam, (hi - lo) / (2.0 * step)
     raise ValueError(f"no reference table {number}")
 
 

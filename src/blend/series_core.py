@@ -261,17 +261,25 @@ def _resolve_workers(max_workers: int | None) -> int:
 def _evaluate_grid(oracle: FunctionOracle, theta, h: float, n_max: int, max_workers: int | None) -> list:
     workers = _resolve_workers(max_workers)
     ks = range(n_max + 1)
-    if oracle.batch is not None:
-        try:
-            return oracle.evaluate_many([theta + k * h for k in ks])
-        except Exception:
-            pass  # evaluated again point by point below, which names the lowest failing slot
+    if oracle.batch is None:
+        return _evaluate_points(oracle, theta, h, ks, workers)
+    try:
+        return oracle.evaluate_many([theta + k * h for k in ks])
+    except Exception:
+        # A batch raises where fn would, so the grid point by point names the
+        # lowest failing slot.  If no slot fails, the batch itself is broken
+        # and its own error stands.
+        _evaluate_points(oracle, theta, h, ks, workers)
+        raise
+
+
+def _evaluate_points(oracle: FunctionOracle, theta, h: float, ks: range, workers: int) -> list:
     if not oracle.parallel_safe or workers <= 1:
         # Strictly sequential in increasing k for oracles that demand it.
         return [_evaluate_at(oracle, theta, h, k) for k in ks]
     # Leaving the pool waits for every slot; reading in slot order raises the
     # lowest failing k.  pool.map would cancel pending slots on an error.
-    with ThreadPoolExecutor(max_workers=min(workers, n_max + 1)) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, len(ks))) as pool:
         futures = [pool.submit(_evaluate_at, oracle, theta, h, k) for k in ks]
         return [f.result() for f in futures]
 
@@ -288,9 +296,11 @@ def blend_partial_sums(
 
     phi(theta + k*h) is evaluated exactly once per k.  An oracle with a
     ``batch`` receives the whole grid in one :meth:`FunctionOracle.evaluate_many`
-    call, and the worker budget does not apply to it; should the batch
+    call, and the worker budget does not apply to it.  Should the batch
     raise, the grid is evaluated again point by point, as below, so that the
-    error names the lowest failing slot.  Other oracles' evaluations run
+    error names the lowest failing slot, or, when no slot fails, the batch's
+    own error is raised; a failed batch therefore costs up to 2*(n_max + 1)
+    evaluations on ``eval_count``.  Other oracles' evaluations run
     concurrently when the oracle declares ``parallel_safe`` and the worker
     budget (``max_workers``, defaulting to the BLEND_THREADS environment
     variable) exceeds one.  Results are deposited into slot k and the

@@ -311,8 +311,6 @@ class TestEdgeInputs:
             (("diff", "1.5e300*theta", "--theta", "1", "--h0", "0.1"), 0),
             # Finite values whose every partial sum (about 2e308) is beyond the float range.
             (("diff", "1e308*theta^2", "--theta", "1"), 2),
-            # exp overflows to inf beyond the finite value at theta, like a product: the driver refines.
-            (("diff", "exp(theta)", "--theta", "709.75", "--h0", "0.02"), 0),
             # Station 1 empties instantly; a pivot tolerance scaled by the whole block used to reject this.
             (("queue", "--mu1", "1e300"), 0),
             (("queue", "--lambda", "1e300", "--h0", "1e297"), 70),
@@ -320,6 +318,8 @@ class TestEdgeInputs:
             (("plan", "--M", "1e-300", "--b", "1e300", "--N", "1", "--K", "306"), 64),
             # M/h overflows while x**(N+1) underflows: the bound used to be NaN.
             (("plan", "--M", "1e200", "--b", "1e120", "--N", "10", "--K", "5"), 0),
+            # exp overflows to inf beyond the finite value at theta, like a product: the driver refines.
+            (("diff", "exp(theta)", "--theta", "709.75", "--h0", "0.02"), 0),
         ],
     )
     def test_exits_with_documented_code(self, args, code):

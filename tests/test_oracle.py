@@ -40,15 +40,20 @@ def test_result_passthrough_preserves_type():
 class TestEvaluateMany:
     POINTS = [0.1 * k for k in range(7)]
 
-    @pytest.mark.parametrize("batched", [False, True], ids=["loop", "batch"])
-    def test_matches_evaluate_and_counts_every_point(self, batched):
+    def test_matches_evaluate_and_counts_every_point(self):
         fn = lambda t: t * t - 1.0  # noqa: E731
-        oracle = FunctionOracle(fn, batch=(lambda points: [fn(p) for p in points]) if batched else None)
+        oracle = FunctionOracle(fn, batch=lambda points: [fn(p) for p in points])
         reference = FunctionOracle(fn)
         assert oracle.evaluate_many(self.POINTS) == [reference.evaluate(p) for p in self.POINTS]
         assert oracle.eval_count == len(self.POINTS)
         oracle.evaluate(2.0)
         assert oracle.eval_count == len(self.POINTS) + 1
+
+    def test_needs_a_batch(self):
+        oracle = FunctionOracle(lambda t: t)
+        with pytest.raises(TypeError, match="needs an oracle with a batch"):
+            oracle.evaluate_many(self.POINTS)
+        assert oracle.eval_count == 0
 
     def test_batch_takes_every_point_in_one_call(self):
         calls = []

@@ -407,6 +407,17 @@ class TestParallelism:
         with pytest.raises(OracleEvaluationError, match=r"box failed at grid point theta \+ 3\*h = 0\.30000000000000004: nope") as err:
             blend_partial_sums(oracle, 0.0, 0.1, 8, max_workers=workers)
         assert err.value.index == 3
+        # The failed batch counts all nine points, then the grid runs again
+        # point by point: serially up to the failing slot, pooled to the end.
+        assert oracle.eval_count == 9 + (4 if workers == 0 else 9)
+
+    @pytest.mark.parametrize("workers", [0, 4])
+    def test_broken_batch_is_reported(self, workers):
+        # No slot fails point by point, so the batch's own error stands.
+        oracle = FunctionOracle(math.sin, parallel_safe=True, batch=lambda points: [math.sin(p) for p in points[1:]])
+        with pytest.raises(ValueError, match="8 values for 9 points"):
+            blend_partial_sums(oracle, 0.0, 0.1, 8, max_workers=workers)
+        assert oracle.eval_count == 18
 
     def test_env_variable_controls_default(self, monkeypatch):
         monkeypatch.setenv("BLEND_THREADS", "notanumber")
