@@ -32,11 +32,11 @@ from .models import (
     CATALOG,
     SingularGeneratorError,
     TandemQueueModel,
+    _queue_oracle,
     blocking_mass,
     build_generator,  # noqa: F401  unused here; perfbench/spans.py wraps it under this name
     quadratic_form,
-    queue_sensitivity_oracle,
-    solve_stationary,
+    solve_stationary,  # noqa: F401  unused here; perfbench/spans.py wraps it under this name
 )
 from .oracle import FunctionOracle, OracleEvaluationError
 from .output import canonical_json, render_csv, render_table
@@ -291,29 +291,35 @@ def cmd_tables(which, fmt, out_path):
 @_driver_options
 @_format_options
 def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, fmt, out_path, **driver):
-    """Sensitivity of the tandem-queue blocking probability to the arrival rate."""
+    """Sensitivity of the tandem-queue blocking probability to the arrival rate.
+
+    Each attempt of the run solves its whole grid as one stack.  The
+    diagnostics and --stationary-csv describe the base rate, which is slot 0
+    of every grid, so they come from the last attempt's stack: the command
+    makes one stationary solve per attempt and none besides.  The CSV is
+    written after the run, so a run that fails leaves none behind.
+    """
     try:
         model = TandemQueueModel(arrival_rate=arrival_rate, mu1=mu1, mu2=mu2, cap1=cap1, cap2=cap2)
         if model.arrival_rate <= 0:
             raise ValueError("arrival rate must be positive for a sensitivity run")
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    stationary = solve_stationary(model)
-    if stationary_csv:
-        rows = [
-            {"n1": n1, "n2": n2, "prob": float(stationary.probabilities[model.state_index(n1, n2)])}
-            for n1, n2 in model.states()
-        ]
-        _write_file(stationary_csv, render_csv(rows))
-    oracle = queue_sensitivity_oracle(model)
+    oracle, stationary = _queue_oracle(model)
     config = _build_config(**driver)
     report = run_blend(oracle, model.arrival_rate, config)
+    # Slot 0 of every attempt's grid is the base rate, so the oracle's latest
+    # stack holds its solve.
+    (base,) = stationary([model.arrival_rate])
+    if stationary_csv:
+        rows = [{"n1": n1, "n2": n2, "prob": float(base.probabilities[model.state_index(n1, n2)])} for n1, n2 in model.states()]
+        _write_file(stationary_csv, render_csv(rows))
     inputs = {"lambda": model.arrival_rate, "mu1": model.mu1, "mu2": model.mu2, "cap1": model.cap1, "cap2": model.cap2}
     diagnostics = {
         "states": model.state_count,
-        "stationary_residual_inf_norm": stationary.residual_norm,
-        "stationary_sum": float(stationary.probabilities.sum()),
-        "blocking_probability": blocking_mass(model, stationary.probabilities),
+        "stationary_residual_inf_norm": base.residual_norm,
+        "stationary_sum": float(base.probabilities.sum()),
+        "blocking_probability": blocking_mass(model, base.probabilities),
     }
     return _emit_run("queue", inputs, config, report, [], fmt, out_path, diagnostics=diagnostics)
 

@@ -153,7 +153,11 @@ _EPS = sys.float_info.epsilon
 
 
 class SingularGeneratorError(RuntimeError):
-    """A level block of the stationary solve lost a pivot to rounding."""
+    """The stationary solve failed in working precision.
+
+    A level block lost a pivot to rounding, or the stationary vector left the
+    float range.
+    """
 
 
 @dataclass(frozen=True)
@@ -302,46 +306,54 @@ def _solve_stack(model: TandemQueueModel, arrival_rates: Sequence[float]) -> lis
     member b has the same bits as ``solve_stationary`` at
     ``arrival_rates[b]``.  ``model.arrival_rate`` is not used.  Raises
     :class:`SingularGeneratorError` when a pivot of any member vanishes to
-    working precision.
+    working precision, or when the forward recurrence or normalization of
+    any member is not finite; numpy's floating-point warnings are silenced,
+    since every non-finite vector raises.
     """
     import numpy as np
     lam = np.array(arrival_rates, dtype=float)
-    mu1, mu2 = model.mu1, model.mu2
-    # Total rate out of each state, indexed [n1, n2, b]: the negated generator diagonal.
-    outflow = np.zeros((model.cap1 + 1, model.cap2 + 1, lam.size))
-    outflow[1:, :-1] += mu1  # station-1 completions, halted while station 2 is full
-    outflow[:, 1:] += mu2  # station-2 completions
-    outflow[:-1] += lam  # arrivals, lost while station 1 is full
-    inner = _local_block(outflow[1], mu2)  # levels 1..cap1-1 share one block
-    local = [_local_block(outflow[0], mu2)] + [inner] * (model.cap1 - 1) + [_local_block(outflow[-1], mu2)]
-    rates = [None] * (model.cap1 + 1)
-    censored = local[-1]
-    for j in range(model.cap1, 0, -1):
-        rates[j] = -lam * _level_inverse(censored)
-        # D has mu1 on the superdiagonal, so R_j D is a column shift of R_j.
-        censored = local[j - 1].copy()
-        censored[:, 1:] += mu1 * rates[j][:, :-1]
-    # pi_0 S_0 = 0 with pi_0[0] = 1: the other states of level 0 drain to
-    # (0, 0) at rate mu2, so -S_0[1:, 1:] is a nonsingular M-matrix as well.
-    first = np.ones((model.cap2 + 1, lam.size))
-    first[1:] = np.add.reduce(-censored[0, 1:, None] * _level_inverse(censored[1:, 1:]), axis=0)
-    levels = [first]
-    for j in range(1, model.cap1 + 1):
-        # pi_{j-1} R_j as products summed in row order, not a BLAS product
-        levels.append(np.add.reduce(levels[-1][:, None] * rates[j], axis=0))
-    # One contiguous row per rate, so each total is the same pairwise sum as
-    # that of a single vector.
-    pi = np.concatenate(levels).T.copy()
-    pi /= np.sum(pi, axis=1, keepdims=True)
-    # pi Q block by block: the local blocks, arrivals from the level below and
-    # station-1 completions from the level above.
-    by_level = pi.reshape(lam.size, model.cap1 + 1, model.cap2 + 1)
-    balance = -outflow.transpose(2, 0, 1) * by_level
-    balance[:, :, :-1] += mu2 * by_level[:, :, 1:]
-    balance[:, 1:] += lam[:, None, None] * by_level[:, :-1]
-    balance[:, :-1, 1:] += mu1 * by_level[:, 1:, :-1]
-    residuals = np.max(np.abs(balance), axis=(1, 2))
-    return [StationaryDistribution(probabilities=row, residual_norm=float(r)) for row, r in zip(pi, residuals)]
+    with np.errstate(all="ignore"):
+        mu1, mu2 = model.mu1, model.mu2
+        # Total rate out of each state, indexed [n1, n2, b]: the negated generator diagonal.
+        outflow = np.zeros((model.cap1 + 1, model.cap2 + 1, lam.size))
+        outflow[1:, :-1] += mu1  # station-1 completions, halted while station 2 is full
+        outflow[:, 1:] += mu2  # station-2 completions
+        outflow[:-1] += lam  # arrivals, lost while station 1 is full
+        inner = _local_block(outflow[1], mu2)  # levels 1..cap1-1 share one block
+        local = [_local_block(outflow[0], mu2)] + [inner] * (model.cap1 - 1) + [_local_block(outflow[-1], mu2)]
+        rates = [None] * (model.cap1 + 1)
+        censored = local[-1]
+        for j in range(model.cap1, 0, -1):
+            rates[j] = -lam * _level_inverse(censored)
+            # D has mu1 on the superdiagonal, so R_j D is a column shift of R_j.
+            censored = local[j - 1].copy()
+            censored[:, 1:] += mu1 * rates[j][:, :-1]
+        # pi_0 S_0 = 0 with pi_0[0] = 1: the other states of level 0 drain to
+        # (0, 0) at rate mu2, so -S_0[1:, 1:] is a nonsingular M-matrix as well.
+        first = np.ones((model.cap2 + 1, lam.size))
+        first[1:] = np.add.reduce(-censored[0, 1:, None] * _level_inverse(censored[1:, 1:]), axis=0)
+        levels = [first]
+        for j in range(1, model.cap1 + 1):
+            # pi_{j-1} R_j as products summed in row order, not a BLAS product
+            levels.append(np.add.reduce(levels[-1][:, None] * rates[j], axis=0))
+        # One contiguous row per rate, so each total is the same pairwise sum as
+        # that of a single vector.
+        pi = np.concatenate(levels).T.copy()
+        totals = np.sum(pi, axis=1, keepdims=True)
+        lost = ~np.isfinite(totals[:, 0])
+        if np.count_nonzero(lost):
+            rate = lam[lost.argmax()].item()
+            raise SingularGeneratorError(f"stationary vector at arrival rate {rate!r} is not finite in working precision")
+        pi /= totals
+        # pi Q block by block: the local blocks, arrivals from the level below and
+        # station-1 completions from the level above.
+        by_level = pi.reshape(lam.size, model.cap1 + 1, model.cap2 + 1)
+        balance = -outflow.transpose(2, 0, 1) * by_level
+        balance[:, :, :-1] += mu2 * by_level[:, :, 1:]
+        balance[:, 1:] += lam[:, None, None] * by_level[:, :-1]
+        balance[:, :-1, 1:] += mu1 * by_level[:, 1:, :-1]
+        residuals = np.max(np.abs(balance), axis=(1, 2))
+        return [StationaryDistribution(probabilities=row, residual_norm=float(r)) for row, r in zip(pi, residuals)]
 
 
 def solve_stationary(model: TandemQueueModel) -> StationaryDistribution:
@@ -370,7 +382,8 @@ def solve_stationary(model: TandemQueueModel) -> StationaryDistribution:
     This is the stack of one of :func:`_solve_stack`, which solves a grid of
     rates together and gives each the bits of its own solve.  Raises
     :class:`SingularGeneratorError` when a pivot vanishes to working
-    precision.  ``residual_norm`` is ||pi Q||_inf evaluated from the blocks.
+    precision or the vector leaves the float range.  ``residual_norm`` is
+    ||pi Q||_inf evaluated from the blocks.
     """
     return _solve_stack(model, [model.arrival_rate])[0]
 
@@ -395,12 +408,28 @@ def queue_sensitivity_oracle(base: TandemQueueModel) -> FunctionOracle:
     """Oracle mapping an arrival rate to the model's blocking probability.
 
     A grid of rates is one stacked solve (:func:`_solve_stack`), the oracle's
-    ``batch``; a single rate is the stack of one, with the same bits.  Every
-    call solves its own stack and shares nothing, so the oracle is safe for
-    concurrent evaluation.  Arrival rates <= 0 are rejected before anything
-    is solved: a stencil can only request one if the step is too large
-    relative to the base rate.
+    ``batch``; a single rate is the stack of one, with the same bits.  The
+    oracle keeps the members of its latest stack, and only those: a call
+    whose rates are all among them is served without a solve, so it never
+    holds more than one stack.  A stack member's bits do not depend on the
+    stack, so a served value is the value a solve would give, and the oracle
+    is safe for concurrent evaluation.  Arrival rates <= 0 are rejected before
+    anything is solved: a stencil can only request one if the step is too
+    large relative to the base rate.
     """
+    return _queue_oracle(base)[0]
+
+
+def _queue_oracle(base: TandemQueueModel) -> tuple[FunctionOracle, Callable[[Sequence[float]], list[StationaryDistribution]]]:
+    """:func:`queue_sensitivity_oracle` and the stationary solves behind it.
+
+    The second item maps arrival rates to their stationary distributions
+    through the oracle's one-stack memory: rates that are all in the latest
+    stack are served from it, other rates are solved as one stack that
+    replaces it.  After a run it serves the run's own members, for instance
+    the base rate, which is slot 0 of every stencil grid.
+    """
+    latest: dict[float, StationaryDistribution] = {}
 
     def checked(arrival_rate: float) -> float:
         if not (arrival_rate > 0 and math.isfinite(arrival_rate)):
@@ -411,13 +440,27 @@ def queue_sensitivity_oracle(base: TandemQueueModel) -> FunctionOracle:
         # The model's own validation, as for a single model.
         return dataclasses.replace(base, arrival_rate=arrival_rate).arrival_rate
 
-    def blocking(arrival_rates: Sequence[float]) -> list[float]:
-        stack = _solve_stack(base, [checked(rate) for rate in arrival_rates])
-        return [blocking_mass(base, member.probabilities) for member in stack]
+    def stationary(arrival_rates: Sequence[float]) -> list[StationaryDistribution]:
+        nonlocal latest
+        # One read and one rebinding of ``latest``: concurrent calls see a
+        # whole stack or none, and a served member is the one a solve gives.
+        kept = latest
+        try:
+            return [kept[rate] for rate in arrival_rates]
+        except KeyError:
+            pass
+        rates = [checked(rate) for rate in arrival_rates]
+        stack = _solve_stack(base, rates)
+        latest = dict(zip(rates, stack))
+        return stack
 
-    return FunctionOracle(
+    def blocking(arrival_rates: Sequence[float]) -> list[float]:
+        return [blocking_mass(base, member.probabilities) for member in stationary(arrival_rates)]
+
+    oracle = FunctionOracle(
         lambda arrival_rate: blocking([arrival_rate])[0],
         parallel_safe=True,
         batch=blocking,
         name="tandem-queue blocking probability",
     )
+    return oracle, stationary

@@ -3,14 +3,20 @@
 JSON uses a canonical writer: keys in construction order, floats at 17
 significant digits (round-trip safe for doubles), no whitespace variation, LF
 line endings.  Parsing the emitted JSON and re-serializing it reproduces the
-bytes, which the golden tests rely on.  Human tables print 15 significant
+bytes, which the golden tests rely on.  Strings are escaped as
+``json.dumps(..., ensure_ascii=False)`` escapes them, by the same
+``json.encoder.encode_basestring``.  The writer dispatches first on the exact
+types the CLI builds (``str``, ``float``, ``dict``, ``list``, ``tuple``,
+``int``); any other value (``None``, a bool, a subclass such as
+``numpy.float64``, a non-dict Mapping) takes the generic isinstance branches
+and comes out as it would on its own.  Human tables print 15 significant
 digits; CSV uses the 17-digit form.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring
 from typing import Iterable, Mapping, Sequence
 
 
@@ -35,36 +41,54 @@ def canonical_json(payload) -> str:
 
 
 def _write(node, out: list[str]) -> None:
-    if node is None:
+    kind = type(node)
+    if kind is str:
+        out.append(encode_basestring(node))
+    elif kind is float:
+        out.append(format_float(node))
+    elif kind is dict:
+        _write_mapping(node, out)
+    elif kind is list or kind is tuple:
+        _write_sequence(node, out)
+    elif kind is int:
+        out.append(str(node))
+    elif node is None:
         out.append("null")
     elif node is True:
         out.append("true")
     elif node is False:
         out.append("false")
     elif isinstance(node, str):
-        out.append(json.dumps(node, ensure_ascii=False))
+        out.append(encode_basestring(node))
     elif isinstance(node, int):
         out.append(str(node))
     elif isinstance(node, float):
         out.append(format_float(node))
     elif isinstance(node, Mapping):
-        out.append("{")
-        for i, (key, value) in enumerate(node.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key), ensure_ascii=False))
-            out.append(":")
-            _write(value, out)
-        out.append("}")
+        _write_mapping(node, out)
     elif isinstance(node, Sequence):
-        out.append("[")
-        for i, value in enumerate(node):
-            if i:
-                out.append(",")
-            _write(value, out)
-        out.append("]")
+        _write_sequence(node, out)
     else:
         raise TypeError(f"cannot serialize {type(node).__name__}")
+
+
+def _write_mapping(node: Mapping, out: list[str]) -> None:
+    out.append("{")
+    for i, (key, value) in enumerate(node.items()):
+        if i:
+            out.append(",")
+        out.append(encode_basestring(str(key)) + ":")
+        _write(value, out)
+    out.append("}")
+
+
+def _write_sequence(node: Sequence, out: list[str]) -> None:
+    out.append("[")
+    for i, value in enumerate(node):
+        if i:
+            out.append(",")
+        _write(value, out)
+    out.append("]")
 
 
 def render_csv(rows: Iterable[Mapping]) -> str:

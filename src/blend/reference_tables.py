@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blend_driver import BlendConfig, DirectionSpec, directional_oracle, run_blend
-from .models import CATALOG, TandemQueueModel, _solve_stack, blocking_mass, quadratic_form, queue_sensitivity_oracle
+from .models import CATALOG, TandemQueueModel, _queue_oracle, blocking_mass, quadratic_form
 from .oracle import FunctionOracle
 # Unused here; kept importable under this name for perfbench/spans.py, which wraps it.
 from .series_core import blend_partial_sums  # noqa: F401
@@ -182,9 +182,14 @@ def _experiment(number: int) -> tuple[FunctionOracle, float, float]:
     if number == 5:
         step = 1e-5
         lam = QUEUE_MODEL.arrival_rate
-        # Both sides as one stack: each member has the bits of its own solve.
-        lo, hi = (blocking_mass(QUEUE_MODEL, side.probabilities) for side in _solve_stack(QUEUE_MODEL, [lam - step, lam + step]))
-        return queue_sensitivity_oracle(QUEUE_MODEL), lam, (hi - lo) / (2.0 * step)
+        oracle, stationary = _queue_oracle(QUEUE_MODEL)
+        # The run's grid and both sides of the central difference as one
+        # stack, which the oracle keeps: the run is then served without a
+        # solve, and each member has the bits of its own solve.
+        grid = [lam + k * QUEUE_H for k in range(N_MAX + 1)]
+        sides = stationary([*grid, lam - step, lam + step])[-2:]
+        lo, hi = (blocking_mass(QUEUE_MODEL, side.probabilities) for side in sides)
+        return oracle, lam, (hi - lo) / (2.0 * step)
     raise ValueError(f"no reference table {number}")
 
 

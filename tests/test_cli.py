@@ -236,6 +236,63 @@ class TestQueue:
         assert run_cli("queue", "--cap1", "41").returncode == 64
 
 
+class TestQueueSolveCounts:
+    """Each queue-backed command makes one stacked stationary solve per attempt and none besides."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        import blend.models as models
+
+        calls = []
+        solve_stack = models._solve_stack
+
+        def counted(model, arrival_rates):
+            calls.append(list(arrival_rates))
+            return solve_stack(model, arrival_rates)
+
+        monkeypatch.setattr(models, "_solve_stack", counted)
+        return calls
+
+    @pytest.mark.parametrize("h0", ["0.01", "0.5"])
+    def test_queue_one_solve_per_attempt(self, capsys, solves, h0):
+        assert main(["queue", "--h0", h0, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert len(solves) == report["refinements"] + 1
+        assert all(len(rates) == 9 for rates in solves)
+
+    @pytest.mark.parametrize("which", ["5", "all"])
+    def test_tables_one_solve_in_total(self, capsys, solves, which):
+        assert main(["tables", which, "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(solves) == 1
+        assert len(solves[0]) == 11
+
+    def test_diagnostics_and_csv_are_the_base_solve(self, capsys, tmp_path: Path):
+        from blend import TandemQueueModel, solve_stationary
+        from blend.models import blocking_mass
+        from blend.output import render_csv
+
+        model = TandemQueueModel(0.8, 1.3, 0.7, 6, 9)
+        path = tmp_path / "pi.csv"
+        args = ["queue", "--lambda", "0.8", "--mu1", "1.3", "--mu2", "0.7", "--cap1", "6", "--cap2", "9", "--h0", "0.2"]
+        assert main([*args, "--stationary-csv", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["report"]["refinements"] > 0
+        stationary = solve_stationary(model)
+        rows = [{"n1": n1, "n2": n2, "prob": float(stationary.probabilities[model.state_index(n1, n2)])} for n1, n2 in model.states()]
+        assert path.read_text() == render_csv(rows)
+        diagnostics = payload["diagnostics"]
+        assert diagnostics["stationary_residual_inf_norm"].hex() == stationary.residual_norm.hex()
+        assert diagnostics["stationary_sum"].hex() == float(stationary.probabilities.sum()).hex()
+        assert diagnostics["blocking_probability"].hex() == blocking_mass(model, stationary.probabilities).hex()
+
+    def test_failed_run_writes_no_csv(self, capsys, tmp_path: Path):
+        path = tmp_path / "pi.csv"
+        assert main(["queue", "--mu2", "1e-300", "--stationary-csv", str(path), "--format", "json"]) == 70
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not path.exists()
+
+
 class TestOutputContracts:
     def test_json_round_trip_byte_identical(self):
         proc = run_cli("diff", "sin", "--h0", "0.1", "--format", "json")
@@ -320,6 +377,8 @@ class TestEdgeInputs:
             (("plan", "--M", "1e200", "--b", "1e120", "--N", "10", "--K", "5"), 0),
             # exp overflows to inf beyond the finite value at theta, like a product: the driver refines.
             (("diff", "exp(theta)", "--theta", "709.75", "--h0", "0.02"), 0),
+            # The forward recurrence overflows: the solve raises instead of returning NaN diagnostics.
+            (("queue", "--mu2", "1e-300"), 70),
         ],
     )
     def test_exits_with_documented_code(self, args, code):
@@ -337,6 +396,7 @@ class TestEdgeInputs:
                 assert all(row["delta"] is None for row in payload["trace"])
         if code == 70:
             assert proc.stderr.startswith("error: ")
+            assert proc.stderr.count("\n") == 1
 
     def test_overflowing_exp_refines_below_the_float_range(self):
         # theta + 2h = 709.79 overflows exp; steps of h0/8 keep the grid finite.

@@ -4,10 +4,74 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blend.output import canonical_json, format_float, render_csv, render_table
+
+
+def _reference_write(node, out: list[str]) -> None:
+    """The writer as it was before its exact-type fast path: isinstance checks and json.dumps."""
+    if node is None:
+        out.append("null")
+    elif node is True:
+        out.append("true")
+    elif node is False:
+        out.append("false")
+    elif isinstance(node, str):
+        out.append(json.dumps(node, ensure_ascii=False))
+    elif isinstance(node, int):
+        out.append(str(node))
+    elif isinstance(node, float):
+        out.append(format_float(node))
+    elif isinstance(node, Mapping):
+        out.append("{")
+        for i, (key, value) in enumerate(node.items()):
+            if i:
+                out.append(",")
+            out.append(json.dumps(str(key), ensure_ascii=False))
+            out.append(":")
+            _reference_write(value, out)
+        out.append("}")
+    elif isinstance(node, Sequence):
+        out.append("[")
+        for i, value in enumerate(node):
+            if i:
+                out.append(",")
+            _reference_write(value, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(node).__name__}")
+
+
+def _reference_json(payload) -> str:
+    pieces: list[str] = []
+    _reference_write(payload, pieces)
+    return "".join(pieces)
+
+
+_TRICKY_CHARACTERS = '"\\/\x00\x08\t\n\x1f\x7f\u00e9\u03b8\u2028\u2029\ufeff\U0001f600'
+_TEXT = st.text(st.sampled_from(_TRICKY_CHARACTERS) | st.characters(), max_size=8)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, sys.float_info.min, sys.float_info.max, -sys.float_info.max, 1e308, 1.0 / 3.0]
+)
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT | _FLOATS.map(np.float64)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT | st.integers(), children, max_size=4)
+        | st.dictionaries(_TEXT, children, max_size=4).map(MappingProxyType)
+    ),
+    max_leaves=24,
+)
 
 
 class TestFormatFloat:
@@ -43,6 +107,11 @@ class TestCanonicalJson:
         }
         text = canonical_json(payload)
         assert canonical_json(json.loads(text)) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PAYLOADS)
+    def test_matches_reference_writer(self, payload):
+        assert canonical_json(payload) == _reference_json(payload)
 
     def test_rejects_unserializable(self):
         with pytest.raises(TypeError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,8 @@ from blend import (
     run_blend,
     solve_stationary,
 )
-from blend.models import _level_inverse, _solve_stack
+import blend.models as models
+from blend.models import _level_inverse, _queue_oracle, _solve_stack
 
 REFERENCE_MODEL = TandemQueueModel(arrival_rate=1.0, mu1=1.0, mu2=2.0, cap1=10, cap2=10)
 
@@ -164,6 +166,12 @@ class TestStationary:
         stack = np.stack([-2.0 * np.eye(3), np.diag([-1.0, 0.0, -1.0])], axis=-1)
         with pytest.raises(SingularGeneratorError, match=r"pivot 1 \(0\.0\)"):
             _level_inverse(stack)
+
+    def test_overflowing_recurrence_raises(self, recwarn):
+        # pi_j = pi_{j-1} R_j leaves the float range when station 2 all but stops.
+        with pytest.raises(SingularGeneratorError, match=r"arrival rate 1\.0 is not finite"):
+            _solve_stack(TandemQueueModel(1.0, 1.0, 1e-300, 10, 10), [1.0, 0.5])
+        assert not recwarn.list
 
     def test_probabilities_are_frozen(self):
         result = solve_stationary(TandemQueueModel(1.0, 1.0, 1.0, 1, 1))
@@ -381,3 +389,49 @@ class TestSensitivityOracle:
         oracle.evaluate(1.0)
         oracle.evaluate(2.0)
         assert oracle.eval_count == 2
+
+    def test_keeps_only_its_latest_stack(self, monkeypatch):
+        calls = []
+        solve_stack = models._solve_stack
+
+        def counted(model, arrival_rates):
+            calls.append(list(arrival_rates))
+            return solve_stack(model, arrival_rates)
+
+        monkeypatch.setattr(models, "_solve_stack", counted)
+        oracle, stationary = _queue_oracle(REFERENCE_MODEL)
+        first = [0.95 + k * 0.01 for k in range(9)]
+        second = [1.05 + k * 0.01 for k in range(9)]
+        values = oracle.evaluate_many(first)
+        # Rates of the latest stack are served, singly or as a grid, and are the same objects.
+        assert oracle.evaluate(first[4]) == values[4]
+        assert oracle.evaluate_many(first[::-1]) == values[::-1]
+        assert stationary([first[0]])[0] is stationary(first)[0]
+        assert len(calls) == 1
+        # A new stack replaces it: the first grid is solved again, with the same bits.
+        oracle.evaluate_many(second)
+        assert [v.hex() for v in oracle.evaluate_many(first)] == [v.hex() for v in values]
+        assert calls == [first, second, first]
+        assert oracle.eval_count == 9 + 1 + 9 + 9 + 9
+
+    def test_concurrent_calls_get_the_values_of_their_own_solves(self):
+        base = TandemQueueModel(1.0, 1.0, 2.0, 3, 3)
+        grids = [[0.5 + 0.1 * g + 0.01 * k for k in range(5)] for g in range(4)]
+        expected = {rate: blocking_probability(TandemQueueModel(rate, 1.0, 2.0, 3, 3)).hex() for grid in grids for rate in grid}
+        oracle = queue_sensitivity_oracle(base)
+
+        def work(i: int) -> list[tuple[float, float]]:
+            grid = grids[i % len(grids)]
+            if i % 2:
+                return list(zip(grid, oracle.evaluate_many(grid)))
+            return [(rate, oracle.evaluate(rate)) for rate in grid]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, i) for i in range(64)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(value.hex() == expected[rate] for pairs in results for rate, value in pairs)
