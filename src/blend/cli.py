@@ -13,7 +13,8 @@ Output formats: human table (default), csv, json; identical invocations
 produce byte-identical output.  The BLEND_THREADS environment variable caps
 concurrent oracle evaluations (0 = serial) without affecting any output byte;
 the queue's oracle takes each grid as one stacked solve, so it does not apply
-there.
+there.  A value that is not an integer >= 0 is a usage error of diff,
+direction, tables and queue, the commands that evaluate an oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .models import (
 from .oracle import FunctionOracle, OracleEvaluationError
 from .output import canonical_json, render_csv, render_table
 from .reference_tables import TABLES, generate_table
-from .series_core import ORDER_CAP
+from .series_core import ORDER_CAP, _env_workers
 
 EXIT_OK = 0
 EXIT_NOT_STABILIZED = 2
@@ -70,6 +71,15 @@ def _write_file(path: str, text: str) -> None:
             handle.write(text)
     except OSError as exc:
         click.echo(f"error: cannot write {path}: {exc.strerror or exc}", err=True)
+        raise click.exceptions.Exit(EXIT_USAGE) from exc
+
+
+def _check_threads() -> None:
+    """An invalid BLEND_THREADS is a usage error: one ``error:`` line naming it."""
+    try:
+        _env_workers()
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
         raise click.exceptions.Exit(EXIT_USAGE) from exc
 
 
@@ -144,6 +154,7 @@ def cmd_diff(function, theta, fmt, out_path, **driver):
     FUNCTION is a catalog name (sin, quartic5) or an arithmetic expression
     such as "theta^2*sin(theta)".  Exits 0 when stabilized, 2 otherwise.
     """
+    _check_threads()
     if not math.isfinite(theta):
         raise click.UsageError(f"--theta must be a finite real, got {theta!r}")
     notes: list[str] = []
@@ -197,6 +208,7 @@ def cmd_direction(a_text, theta_text, v_text, normalize, fmt, out_path, **driver
     eval_count depends only on the truncation order and refinement count,
     never on the dimension.
     """
+    _check_threads()
     coeffs = _parse_floats(a_text, "--a")
     theta = _parse_floats(theta_text, "--theta")
     vector = _parse_floats(v_text, "--v")
@@ -266,6 +278,7 @@ def cmd_tables(which, fmt, out_path):
     Every cell is tagged match/mismatch against the embedded published value;
     the notes record the step reinterpretations and known inconsistencies.
     """
+    _check_threads()
     if which == "all":
         numbers = sorted(TABLES)
     else:
@@ -299,6 +312,7 @@ def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, fmt, out_path,
     makes one stationary solve per attempt and none besides.  The CSV is
     written after the run, so a run that fails leaves none behind.
     """
+    _check_threads()
     try:
         model = TandemQueueModel(arrival_rate=arrival_rate, mu1=mu1, mu2=mu2, cap1=cap1, cap2=cap2)
         if model.arrival_rate <= 0:

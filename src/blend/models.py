@@ -10,7 +10,10 @@ One Gauss-Jordan kernel on M-matrix blocks eliminates every level, level 0
 included: it fixes the empty state's probability instead of a normalization row.
 The kernel and the solve run on a stack of arrival rates, the rates on the last
 axis of every array, so a whole stencil grid costs one pass of numpy calls; each
-rate in a stack gets the same bits as its own solve.
+rate in a stack gets the same bits as its own solve.  The kernel makes six
+in-place numpy calls per pivot and tests the pivots once per block, after the
+sweep; the test names the pivot that a test at every step would name.  Its work
+arrays belong to one solve, so concurrent solves share nothing.
 """
 
 from __future__ import annotations
@@ -248,53 +251,93 @@ class StationaryDistribution:
         self.probabilities.setflags(write=False)
 
 
+class _GaussJordan:
+    """Work arrays that invert stacks of level blocks, shape (n, n, B), in place.
+
+    Write a block into ``block`` and call :meth:`invert`; one instance serves
+    every block of its size in one solve.  The views of every pivot step are
+    built here, once, so a pivot costs six numpy calls.  An instance belongs
+    to one solve: concurrent solves share no array.
+    """
+
+    def __init__(self, block: np.ndarray):
+        import numpy as np
+        n, _, size = block.shape
+        self.block = a = block
+        self._update = np.empty((n, n, size))
+        self._pivots = np.empty((n, size))
+        # factors[k] takes column k at step k, except row k, which stays 0 so
+        # that the rank-1 update leaves the pivot row as it is.
+        factors = np.zeros((n, n, 1, size))
+        unit = np.eye(n, dtype=bool)[:, :, None, None]
+        columns = a.transpose(1, 0, 2)[:, :, None]
+        self._steps = list(zip(factors, ~unit, columns, self._pivots, a.diagonal().T, unit, a))
+
+    def invert(self) -> np.ndarray:
+        """Replace ``block`` by its inverse and return it (see :func:`_level_inverse`).
+
+        The caller silences numpy's floating-point warnings: a lost pivot
+        runs on to the end of the sweep before the pivot test sees it.
+        """
+        import numpy as np
+        a, update, pivots = self.block, self._update, self._pivots
+        tol = a.shape[0] * _EPS * np.maximum.reduce(np.abs(a), axis=1)
+        for factors, off_pivot, column, pivot, diagonal, unit, row in self._steps:
+            # Column k of the working array turns into column k of the inverse:
+            # set it to the unit column, scale the pivot row, then eliminate
+            # with one rank-1 update.
+            np.copyto(factors, column, where=off_pivot)
+            np.copyto(pivot, diagonal)
+            np.copyto(column, unit)
+            np.divide(row, pivot, out=row)
+            np.multiply(factors, row, out=update)
+            np.subtract(a, update, out=a)
+        # Members are independent and pivot k depends only on the steps
+        # before k, so the lowest lost k and its first lost member are where
+        # a test at every step would have stopped.
+        lost = np.abs(pivots) <= tol
+        if np.count_nonzero(lost):
+            k = lost.any(axis=1).argmax()
+            raise SingularGeneratorError(f"pivot {k} ({pivots[k, lost[k].argmax()].item()!r}) is singular to working precision")
+        return a
+
+
 def _level_inverse(s: np.ndarray) -> np.ndarray:
     """Inverses of a stack of censored level blocks, shape (n, n, B), by Gauss-Jordan.
 
-    The batch is the last axis: each numpy call below does one step for every
+    The batch is the last axis: each numpy call does one step for every
     member, and every member goes through the same elementwise operations in
     the same order as it would alone, so its inverse has the same bits in a
     stack of any size.  There are no row swaps: each block is the negative
     of a nonsingular M-matrix, so every pivot is nonzero without pivoting.
     Pivot k at or below n * eps * max|s[k, :]| of its own member raises
-    :class:`SingularGeneratorError` naming the first such member's pivot;
-    scaling by its own row keeps rates orders of magnitude apart in other
-    rows from passing for a lost pivot.  Rank-1 updates are elementwise numpy
+    :class:`SingularGeneratorError` naming the lowest such k and the first
+    member lost there; scaling by its own row keeps rates orders of
+    magnitude apart in other rows from passing for a lost pivot.  The pivot
+    test runs once per block, after the sweep, and names the pivot that a
+    test at every step would name.  Rank-1 updates are elementwise numpy
     products, never BLAS, so the result is bit-identical under any BLAS
-    threading.
+    threading.  The work arrays (:class:`_GaussJordan`) belong to this call,
+    and numpy's floating-point warnings are silenced inside it.
     """
     import numpy as np
-    a = np.array(s, dtype=float)
-    n = a.shape[0]
-    tol = n * _EPS * np.abs(a).max(axis=1)
-    for k in range(n):
-        factors = a[:, k].copy()
-        pivot = factors[k]
-        lost = np.abs(pivot) <= tol[k]
-        if np.count_nonzero(lost):
-            raise SingularGeneratorError(f"pivot {k} ({pivot[lost.argmax()].item()!r}) is singular to working precision")
-        # Column k of the working array turns into column k of the inverse:
-        # clear it, scale the pivot row, then eliminate with one rank-1 update.
-        a[:, k] = 0.0
-        a[k, k] = 1.0
-        a[k] /= pivot
-        factors[k] = 0.0  # only now: pivot is a view of factors[k]
-        a -= factors[:, None] * a[k]
-    return a
+    with np.errstate(all="ignore"):
+        return _GaussJordan(np.array(s, dtype=float)).invert()
 
 
-def _local_block(outflow: np.ndarray, mu2: float) -> np.ndarray:
-    """Generator blocks within one level: station-2 completions n2 -> n2-1 and the diagonal.
+def _local_blocks(outflow: np.ndarray, mu2: float) -> np.ndarray:
+    """Generator blocks within levels: station-2 completions n2 -> n2-1 and the diagonal.
 
-    ``outflow`` is the level's outflow per state and rate, shape (cap2+1, B).
+    ``outflow`` holds each level's outflow per state and rate, shape
+    (levels, cap2+1, B); the blocks have shape (levels, cap2+1, cap2+1, B).
     """
     import numpy as np
-    size = outflow.shape[0]
-    block = np.zeros((size, size, outflow.shape[1]))
+    levels, size, rates = outflow.shape
+    blocks = np.zeros((levels, size, size, rates))
     n2 = np.arange(size)
-    block[n2, n2] = -outflow
-    block[n2[1:], n2[:-1]] = mu2
-    return block
+    blocks[:, n2, n2] = -outflow
+    blocks[:, n2[1:], n2[:-1]] = mu2
+    return blocks
 
 
 def _solve_stack(model: TandemQueueModel, arrival_rates: Sequence[float]) -> list[StationaryDistribution]:
@@ -308,7 +351,12 @@ def _solve_stack(model: TandemQueueModel, arrival_rates: Sequence[float]) -> lis
     :class:`SingularGeneratorError` when a pivot of any member vanishes to
     working precision, or when the forward recurrence or normalization of
     any member is not finite; numpy's floating-point warnings are silenced,
-    since every non-finite vector raises.
+    since every non-finite vector raises.  The pivots of each block are
+    tested once, after its sweep, and the error names the pivot that a test
+    at every step would name.  Each censored block is written straight into
+    the work array of one :class:`_GaussJordan` per block size; those arrays
+    are made by this call and belong to it, so concurrent solves share
+    nothing.
     """
     import numpy as np
     lam = np.array(arrival_rates, dtype=float)
@@ -319,19 +367,24 @@ def _solve_stack(model: TandemQueueModel, arrival_rates: Sequence[float]) -> lis
         outflow[1:, :-1] += mu1  # station-1 completions, halted while station 2 is full
         outflow[:, 1:] += mu2  # station-2 completions
         outflow[:-1] += lam  # arrivals, lost while station 1 is full
-        inner = _local_block(outflow[1], mu2)  # levels 1..cap1-1 share one block
-        local = [_local_block(outflow[0], mu2)] + [inner] * (model.cap1 - 1) + [_local_block(outflow[-1], mu2)]
+        bottom, inner, top = _local_blocks(outflow[[0, 1, -1]], mu2)  # levels 1..cap1-1 share one block
+        local = [bottom] + [inner] * (model.cap1 - 1) + [top]
         rates = [None] * (model.cap1 + 1)
+        # Each censored block is written straight into the kernel's work array,
+        # which starts as the top level's block: no later level reads that one.
         censored = local[-1]
+        kernel = _GaussJordan(censored)
+        minus_lam = -lam
         for j in range(model.cap1, 0, -1):
-            rates[j] = -lam * _level_inverse(censored)
+            rates[j] = minus_lam * kernel.invert()
             # D has mu1 on the superdiagonal, so R_j D is a column shift of R_j.
-            censored = local[j - 1].copy()
+            np.copyto(censored, local[j - 1])
             censored[:, 1:] += mu1 * rates[j][:, :-1]
         # pi_0 S_0 = 0 with pi_0[0] = 1: the other states of level 0 drain to
         # (0, 0) at rate mu2, so -S_0[1:, 1:] is a nonsingular M-matrix as well.
+        # The corner inverts in place, in the view of S_0 that holds it; row 0 stays.
         first = np.ones((model.cap2 + 1, lam.size))
-        first[1:] = np.add.reduce(-censored[0, 1:, None] * _level_inverse(censored[1:, 1:]), axis=0)
+        first[1:] = np.add.reduce(-censored[0, 1:, None] * _GaussJordan(censored[1:, 1:]).invert(), axis=0)
         levels = [first]
         for j in range(1, model.cap1 + 1):
             # pi_{j-1} R_j as products summed in row order, not a BLAS product

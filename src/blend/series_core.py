@@ -246,13 +246,26 @@ def _evaluate_at(oracle: FunctionOracle, theta, h: float, k: int):
         ) from exc
 
 
+def _env_workers() -> int:
+    """The worker budget set by the BLEND_THREADS environment variable (unset: 0).
+
+    Raises ValueError, naming the variable and its value, unless the value
+    is an integer >= 0.
+    """
+    raw = os.environ.get("BLEND_THREADS", "0").strip() or "0"
+    try:
+        workers = int(raw)
+    except ValueError:
+        pass
+    else:
+        if workers >= 0:
+            return workers
+    raise ValueError(f"BLEND_THREADS must be an integer >= 0, got {raw!r}")
+
+
 def _resolve_workers(max_workers: int | None) -> int:
     if max_workers is None:
-        raw = os.environ.get("BLEND_THREADS", "0").strip() or "0"
-        try:
-            max_workers = int(raw)
-        except ValueError:
-            raise ValueError(f"BLEND_THREADS must be an integer, got {raw!r}") from None
+        return _env_workers()
     if max_workers < 0:
         raise ValueError(f"max_workers must be >= 0, got {max_workers}")
     return max_workers

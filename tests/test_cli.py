@@ -463,6 +463,25 @@ class TestThreadDeterminism:
         assert serial.returncode == threaded.returncode
         assert serial.stdout == threaded.stdout
 
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    @pytest.mark.parametrize(
+        "args",
+        [("diff", "sin"), ("direction", "--a", "1", "--theta", "1", "--v", "1"), ("tables", "all"), ("queue",)],
+        ids=lambda args: args[0],
+    )
+    def test_invalid_thread_budget_is_a_usage_error(self, capsys, monkeypatch, args, value):
+        # Also for the queue, whose batched grid never uses the budget.
+        monkeypatch.setenv("BLEND_THREADS", value)
+        assert main(list(args)) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: BLEND_THREADS must be an integer >= 0, got {value!r}\n"
+
+    def test_invalid_thread_budget_ends_without_traceback(self):
+        proc = run_cli("diff", "sin", env={"BLEND_THREADS": "abc"})
+        assert (proc.returncode, proc.stdout) == (64, "")
+        assert proc.stderr == "error: BLEND_THREADS must be an integer >= 0, got 'abc'\n"
+
 
 class TestGoldenBytes:
     """SHA-256 of ``--format json`` stdout for commands whose bytes involve no numpy arithmetic.

@@ -167,6 +167,19 @@ class TestStationary:
         with pytest.raises(SingularGeneratorError, match=r"pivot 1 \(0\.0\)"):
             _level_inverse(stack)
 
+    def test_lowest_lost_pivot_is_named(self):
+        # Member 0 loses pivot 2 and member 1 loses pivot 1: the sweep runs to
+        # the end, and the test after it names the lower k.
+        stack = np.stack([np.diag([-1.0, -1.0, 0.0]), np.diag([-1.0, 0.0, -1.0])], axis=-1)
+        with pytest.raises(SingularGeneratorError, match=r"^pivot 1 \(0\.0\) is singular"):
+            _level_inverse(stack)
+
+    def test_singular_stack_emits_no_warning(self, recwarn):
+        # 0/0 and 1/0 in the sweep of a lost pivot stay silent outside _solve_stack too.
+        with pytest.raises(SingularGeneratorError, match=r"pivot 0 \(0\.0\)"):
+            _level_inverse(np.zeros((4, 4, 3)))
+        assert not recwarn.list
+
     def test_overflowing_recurrence_raises(self, recwarn):
         # pi_j = pi_{j-1} R_j leaves the float range when station 2 all but stops.
         with pytest.raises(SingularGeneratorError, match=r"arrival rate 1\.0 is not finite"):
@@ -243,6 +256,42 @@ def _unstacked_inverse(s: np.ndarray) -> np.ndarray:
         a[k] /= pivot
         a -= factors[:, None] * a[k]
     return a
+
+
+@st.composite
+def _m_matrix_stacks(draw):
+    # Negated nonsingular M-matrices, shape (n, n, B): off-diagonals >= 0 with
+    # exact zeros, rows scaled across decades, and a diagonal that outweighs
+    # its row by a positive slack, so every member is strictly diagonally
+    # dominant and no pivot is lost.
+    n, size = draw(st.integers(1, 21)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    stack = rng.random((n, n, size)) * (rng.random((n, n, size)) < density)
+    stack *= 10.0 ** rng.integers(-4, 5, size=(n, 1, size))
+    diagonal = np.arange(n)
+    stack[diagonal, diagonal] = 0.0
+    slack = (0.5 + rng.random((n, size))) * 10.0 ** rng.integers(-4, 5, size=(n, size))
+    stack[diagonal, diagonal] = -(stack.sum(axis=1) + slack)
+    return stack
+
+
+class TestLevelInverse:
+    """The stacked kernel against the elimination of one block at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=_m_matrix_stacks())
+    def test_each_member_has_the_bits_of_its_own_elimination(self, stack):
+        inverse = _level_inverse(stack)
+        for b in range(stack.shape[-1]):
+            member = np.ascontiguousarray(inverse[:, :, b])
+            assert member.tobytes() == _unstacked_inverse(stack[:, :, b]).tobytes()
+
+    def test_input_is_left_unchanged(self):
+        stack = np.stack([np.array([[-2.0, 1.0], [0.5, -1.5]]), -np.eye(2)], axis=-1)
+        copy = stack.copy()
+        _level_inverse(stack)
+        assert stack.tobytes() == copy.tobytes()
 
 
 def _unstacked_solve(model: TandemQueueModel) -> tuple[bytes, float]:
