@@ -266,8 +266,9 @@ class _GaussJordan:
         self.block = a = block
         self._update = np.empty((n, n, size))
         self._pivots = np.empty((n, size))
-        # factors[k] takes column k at step k, except row k, which stays 0 so
-        # that the rank-1 update leaves the pivot row as it is.
+        # factors[k] takes column k at step k, except row k, which stays +0.0:
+        # the rank-1 update subtracts 0 * row from the pivot row, as the
+        # elimination of one block does, and that turns -0.0 into +0.0.
         factors = np.zeros((n, n, 1, size))
         unit = np.eye(n, dtype=bool)[:, :, None, None]
         columns = a.transpose(1, 0, 2)[:, :, None]

@@ -477,11 +477,6 @@ class TestThreadDeterminism:
         assert captured.out == ""
         assert captured.err == f"error: BLEND_THREADS must be an integer >= 0, got {value!r}\n"
 
-    def test_invalid_thread_budget_ends_without_traceback(self):
-        proc = run_cli("diff", "sin", env={"BLEND_THREADS": "abc"})
-        assert (proc.returncode, proc.stdout) == (64, "")
-        assert proc.stderr == "error: BLEND_THREADS must be an integer >= 0, got 'abc'\n"
-
 
 class TestGoldenBytes:
     """SHA-256 of ``--format json`` stdout for commands whose bytes involve no numpy arithmetic.
