@@ -6,9 +6,22 @@ Subcommands: ``diff`` (differentiate a catalog function or expression),
 the built-in reference tables and audit them), ``queue`` (tandem-queue
 blocking-probability sensitivity).
 
+The command line is read by one standard-library ``argparse`` tree, built at
+import from ``_COMMANDS``: a subparser per command, abbreviations off.  A
+value option takes the next token even when it starts with ``-``
+(``--theta -1e-3``, ``--v -1,1,-1``): before parsing, each value option and
+the token after it are joined as ``--opt=value``.  ``--opt=value`` works as
+well, the last of a repeated option wins, and a positional may come after
+the options.  Parsing takes about 50-110 us per command (Python 3.11, 2
+vCPUs); building the tree adds about 2 ms to the import.
+
 Exit codes: 0 success/stabilized, 2 not stabilized, 64 usage error (an
 output file that cannot be written included), 70 runtime failure (an oracle
-evaluation or the queue's stationary solve).
+evaluation or the queue's stationary solve), 130 interrupted.  Exits 64 and
+70 write exactly one ``error: <message>`` line to stderr; a usage error names
+the option and its value where there is one.  ``blend`` without a command
+writes its help to stderr before that line.  ``--help`` (on ``blend`` and on
+each command) and ``--version`` write to stdout and exit 0.
 Output formats: human table (default), csv, json; identical invocations
 produce byte-identical output.  The BLEND_THREADS environment variable caps
 concurrent oracle evaluations (0 = serial) without affecting any output byte;
@@ -19,11 +32,11 @@ direction, tables and queue, the commands that evaluate an oracle.
 
 from __future__ import annotations
 
+import argparse
 import math
+import os
 import sys
 from typing import Sequence
-
-import click
 
 from . import __version__
 from .blend_driver import PRECISION_CAP, BlendConfig, BlendReport, DirectionSpec, directional_oracle, run_blend
@@ -50,18 +63,34 @@ EXIT_USAGE = 64
 EXIT_RUNTIME = 70
 
 
-def _format_options(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table", show_default=True, help="Output format.")(fn)
-    fn = click.option("--out", "out_path", type=click.Path(dir_okay=False, writable=True), default=None, help="Write output to a file instead of stdout.")(fn)
-    return fn
+class _UsageError(Exception):
+    """A command line or input the commands reject: ``main`` writes one ``error:`` line and returns 64."""
 
 
-def _driver_options(fn):
-    fn = click.option("--h0", type=float, default=0.01, show_default=True, help="Initial step size.")(fn)
-    fn = click.option("--n-max", type=click.IntRange(2, ORDER_CAP), default=8, show_default=True, help="Truncation order.")(fn)
-    fn = click.option("--refinements", type=click.IntRange(min=0), default=8, show_default=True, help="Maximum step refinements.")(fn)
-    fn = click.option("--min-digits", type=click.IntRange(1, PRECISION_CAP), default=2, show_default=True, help="Digits of agreement required to stabilize.")(fn)
-    return fn
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`_UsageError` where argparse would print its usage and exit 2."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
+class _IntRange:
+    """An integer option within [low, high] (no upper end when ``high`` is None)."""
+
+    def __init__(self, low: int, high: int | None = None):
+        self.low, self.high = low, high
+
+    def __call__(self, text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+        if value < self.low or (self.high is not None and value > self.high):
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {self}")
+        return value
+
+    def __str__(self) -> str:
+        return f"x>={self.low}" if self.high is None else f"{self.low}<=x<={self.high}"
 
 
 def _write_file(path: str, text: str) -> None:
@@ -70,8 +99,7 @@ def _write_file(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        click.echo(f"error: cannot write {path}: {exc.strerror or exc}", err=True)
-        raise click.exceptions.Exit(EXIT_USAGE) from exc
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _check_threads() -> None:
@@ -79,8 +107,7 @@ def _check_threads() -> None:
     try:
         _env_workers()
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise click.exceptions.Exit(EXIT_USAGE) from exc
+        raise _UsageError(str(exc)) from exc
 
 
 def _emit(payload: dict, fmt: str, out_path: str | None, csv_rows) -> None:
@@ -93,14 +120,15 @@ def _emit(payload: dict, fmt: str, out_path: str | None, csv_rows) -> None:
     if out_path:
         _write_file(out_path, text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _build_config(h0: float, n_max: int, refinements: int, min_digits: int) -> BlendConfig:
     try:
         return BlendConfig(h0=h0, n_max=n_max, max_h_refinements=refinements, min_agree_digits=min_digits)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise _UsageError(str(exc)) from exc
 
 
 def _emit_run(
@@ -137,17 +165,6 @@ def _emit_run(
     return EXIT_OK if report.stabilized else EXIT_NOT_STABILIZED
 
 
-@click.group(name="blend")
-@click.version_option(version=__version__, prog_name="blend")
-def cli() -> None:
-    """Black-box numerical differentiation with certified step planning."""
-
-
-@cli.command(name="diff")
-@click.argument("function")
-@click.option("--theta", type=float, default=0.0, show_default=True, help="Expansion point.")
-@_driver_options
-@_format_options
 def cmd_diff(function, theta, fmt, out_path, **driver):
     """Differentiate a catalog function or an expression in theta.
 
@@ -156,7 +173,7 @@ def cmd_diff(function, theta, fmt, out_path, **driver):
     """
     _check_threads()
     if not math.isfinite(theta):
-        raise click.UsageError(f"--theta must be a finite real, got {theta!r}")
+        raise _UsageError(f"--theta must be a finite real, got {theta!r}")
     notes: list[str] = []
     entry = CATALOG.get(function)
     if entry is not None:
@@ -166,7 +183,7 @@ def cmd_diff(function, theta, fmt, out_path, **driver):
         try:
             compiled = compile_expression(function)
         except ExpressionError as exc:
-            raise click.UsageError(f"unknown function {function!r}: {exc}") from exc
+            raise _UsageError(f"unknown function {function!r}: {exc}") from exc
         oracle = FunctionOracle(compiled, parallel_safe=True, name="expression")
         envelope = None
     config = _build_config(**driver)
@@ -184,21 +201,14 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
-        raise click.UsageError(f"{flag} expects a comma-separated list of reals: {exc}") from exc
+        raise _UsageError(f"{flag} expects a comma-separated list of reals: {exc}") from exc
     if not values:
-        raise click.UsageError(f"{flag} expects at least one value")
+        raise _UsageError(f"{flag} expects at least one value")
     if not all(math.isfinite(v) for v in values):
-        raise click.UsageError(f"{flag} expects finite reals, got {text!r}")
+        raise _UsageError(f"{flag} expects finite reals, got {text!r}")
     return values
 
 
-@cli.command(name="direction")
-@click.option("--a", "a_text", required=True, help="Comma-separated quadratic coefficients a_i.")
-@click.option("--theta", "theta_text", required=True, help="Comma-separated expansion point.")
-@click.option("--v", "v_text", required=True, help="Comma-separated direction vector.")
-@click.option("--normalize", is_flag=True, help="Normalize the direction to unit length first.")
-@_driver_options
-@_format_options
 def cmd_direction(a_text, theta_text, v_text, normalize, fmt, out_path, **driver):
     """Directional derivative of phi(theta) = sum_i a_i*theta_i^2 along v.
 
@@ -213,14 +223,14 @@ def cmd_direction(a_text, theta_text, v_text, normalize, fmt, out_path, **driver
     theta = _parse_floats(theta_text, "--theta")
     vector = _parse_floats(v_text, "--v")
     if not (len(coeffs) == len(theta) == len(vector)):
-        raise click.UsageError(
+        raise _UsageError(
             f"dimension mismatch: {len(coeffs)} coefficients, {len(theta)} theta components, "
             f"{len(vector)} direction components"
         )
     try:
         spec = DirectionSpec.unit(vector) if normalize else DirectionSpec(vector)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise _UsageError(str(exc)) from exc
     quadratic = quadratic_form(coeffs)
     oracle = directional_oracle(quadratic.evaluate, theta, spec, parallel_safe=True)
     config = _build_config(**driver)
@@ -231,13 +241,6 @@ def cmd_direction(a_text, theta_text, v_text, normalize, fmt, out_path, **driver
     return _emit_run("direction", inputs, config, report, [], fmt, out_path, analytic_reference=reference)
 
 
-@cli.command(name="plan")
-@click.option("--M", "magnitude", type=float, required=True, help="Envelope magnitude M.")
-@click.option("--b", "growth", type=float, required=True, help="Envelope growth rate b.")
-@click.option("--N", "order", type=click.IntRange(1, ORDER_CAP), required=True, help="Truncation order.")
-@click.option("--K", "digits", type=click.IntRange(min=1), required=True, help="Digits to make exact.")
-@click.option("--formula", type=click.Choice(list(BOUND_FORMULAS)), default="lemma2", show_default=True, help="Remainder-bound form.")
-@_format_options
 def cmd_plan(magnitude, growth, order, digits, formula, fmt, out_path):
     """Solve for the step size making the order-N approximation K-digit exact.
 
@@ -248,7 +251,7 @@ def cmd_plan(magnitude, growth, order, digits, formula, fmt, out_path):
         envelope = GrowthEnvelope(magnitude=magnitude, growth=growth)
         plan = solve_k_exact_h(envelope, order, digits, formula)
     except (ValueError, ArithmeticError) as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise _UsageError(str(exc)) from exc
     notes = []
     if plan.clipped:
         notes.append(
@@ -269,9 +272,6 @@ def cmd_plan(magnitude, growth, order, digits, formula, fmt, out_path):
     return EXIT_OK
 
 
-@cli.command(name="tables")
-@click.argument("which", default="all")
-@_format_options
 def cmd_tables(which, fmt, out_path):
     """Regenerate reference tables (1-5 or "all") and audit each cell.
 
@@ -285,24 +285,15 @@ def cmd_tables(which, fmt, out_path):
         try:
             numbers = [int(which)]
         except ValueError:
-            raise click.UsageError(f"WHICH must be 1-5 or 'all', got {which!r}") from None
+            raise _UsageError(f"WHICH must be 1-5 or 'all', got {which!r}") from None
         if numbers[0] not in TABLES:
-            raise click.UsageError(f"no reference table {numbers[0]}; choose 1-5 or 'all'")
+            raise _UsageError(f"no reference table {numbers[0]}; choose 1-5 or 'all'")
     tables = [generate_table(number) for number in numbers]
     payload = {"command": "tables", "tables": tables}
     _emit(payload, fmt, out_path, lambda p: [{"table": t["table"], **row} for t in p["tables"] for row in t["rows"]])
     return EXIT_OK
 
 
-@cli.command(name="queue")
-@click.option("--lambda", "arrival_rate", type=float, default=1.0, show_default=True, help="Arrival rate (sensitivity parameter).")
-@click.option("--mu1", type=float, default=1.0, show_default=True, help="Station-1 service rate.")
-@click.option("--mu2", type=float, default=2.0, show_default=True, help="Station-2 service rate.")
-@click.option("--cap1", type=click.IntRange(1, 40), default=10, show_default=True, help="Station-1 capacity.  Each evaluation solves the (cap1+1)*(cap2+1)-state chain level by level in O(cap1*cap2^3), so capacities up to 40 are practical.")
-@click.option("--cap2", type=click.IntRange(1, 40), default=10, show_default=True, help="Station-2 capacity (sets the block size cap2+1 of the level-by-level solve).")
-@click.option("--stationary-csv", type=click.Path(dir_okay=False, writable=True), default=None, help="Also export the base model's stationary vector as CSV.")
-@_driver_options
-@_format_options
 def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, fmt, out_path, **driver):
     """Sensitivity of the tandem-queue blocking probability to the arrival rate.
 
@@ -318,7 +309,7 @@ def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, fmt, out_path,
         if model.arrival_rate <= 0:
             raise ValueError("arrival rate must be positive for a sensitivity run")
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise _UsageError(str(exc)) from exc
     oracle, stationary = _queue_oracle(model)
     config = _build_config(**driver)
     report = run_blend(oracle, model.arrival_rate, config)
@@ -338,21 +329,177 @@ def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, fmt, out_path,
     return _emit_run("queue", inputs, config, report, [], fmt, out_path, diagnostics=diagnostics)
 
 
+# Each argument is (name or flag, add_argument keywords); _add_argument shows
+# its default or "required", and an _IntRange type's range, in its help.
+_OUTPUT_OPTIONS = (
+    ("--format", {"dest": "fmt", "choices": ("table", "csv", "json"), "default": "table", "help": "Output format."}),
+    ("--out", {"dest": "out_path", "metavar": "PATH", "help": "Write output to a file instead of stdout."}),
+)
+_DRIVER_OPTIONS = (
+    ("--h0", {"type": float, "default": 0.01, "help": "Initial step size."}),
+    ("--n-max", {"type": _IntRange(2, ORDER_CAP), "default": 8, "help": "Truncation order."}),
+    ("--refinements", {"type": _IntRange(0), "default": 8, "help": "Maximum step refinements."}),
+    ("--min-digits", {"type": _IntRange(1, PRECISION_CAP), "default": 2, "help": "Digits of agreement required to stabilize."}),
+)
+
+#: Command name -> (function, arguments).
+_COMMANDS = {
+    "diff": (
+        cmd_diff,
+        (
+            ("function", {"metavar": "FUNCTION", "help": "Catalog name or expression in theta."}),
+            ("--theta", {"type": float, "default": 0.0, "help": "Expansion point."}),
+            *_DRIVER_OPTIONS,
+            *_OUTPUT_OPTIONS,
+        ),
+    ),
+    "direction": (
+        cmd_direction,
+        (
+            ("--a", {"dest": "a_text", "required": True, "help": "Comma-separated quadratic coefficients a_i."}),
+            ("--theta", {"dest": "theta_text", "required": True, "help": "Comma-separated expansion point."}),
+            ("--v", {"dest": "v_text", "required": True, "help": "Comma-separated direction vector."}),
+            ("--normalize", {"action": "store_true", "help": "Normalize the direction to unit length first."}),
+            *_DRIVER_OPTIONS,
+            *_OUTPUT_OPTIONS,
+        ),
+    ),
+    "plan": (
+        cmd_plan,
+        (
+            ("--M", {"dest": "magnitude", "type": float, "required": True, "help": "Envelope magnitude M."}),
+            ("--b", {"dest": "growth", "type": float, "required": True, "help": "Envelope growth rate b."}),
+            ("--N", {"dest": "order", "type": _IntRange(1, ORDER_CAP), "required": True, "help": "Truncation order."}),
+            ("--K", {"dest": "digits", "type": _IntRange(1), "required": True, "help": "Digits to make exact."}),
+            ("--formula", {"choices": tuple(BOUND_FORMULAS), "default": "lemma2", "help": "Remainder-bound form."}),
+            *_OUTPUT_OPTIONS,
+        ),
+    ),
+    "tables": (
+        cmd_tables,
+        (("which", {"metavar": "WHICH", "nargs": "?", "default": "all", "help": 'Table number 1-5 or "all".'}), *_OUTPUT_OPTIONS),
+    ),
+    "queue": (
+        cmd_queue,
+        (
+            ("--lambda", {"dest": "arrival_rate", "type": float, "default": 1.0, "help": "Arrival rate (sensitivity parameter)."}),
+            ("--mu1", {"type": float, "default": 1.0, "help": "Station-1 service rate."}),
+            ("--mu2", {"type": float, "default": 2.0, "help": "Station-2 service rate."}),
+            (
+                "--cap1",
+                {
+                    "type": _IntRange(1, 40),
+                    "default": 10,
+                    "help": "Station-1 capacity.  Each evaluation solves the (cap1+1)*(cap2+1)-state chain level by "
+                    "level in O(cap1*cap2^3), so capacities up to 40 are practical.",
+                },
+            ),
+            ("--cap2", {"type": _IntRange(1, 40), "default": 10, "help": "Station-2 capacity (sets the block size cap2+1 of the level-by-level solve)."}),
+            ("--stationary-csv", {"metavar": "PATH", "help": "Also export the base model's stationary vector as CSV."}),
+            *_DRIVER_OPTIONS,
+            *_OUTPUT_OPTIONS,
+        ),
+    ),
+}
+
+#: The options of each command that take a value, which _join_values attaches to them.
+_VALUE_FLAGS = {
+    name: frozenset(flag for flag, keywords in arguments if flag.startswith("-") and keywords.get("action") != "store_true")
+    for name, (_, arguments) in _COMMANDS.items()
+}
+
+
+def _add_argument(command: _Parser, flag: str, keywords: dict) -> None:
+    """Add one argument, with its default, range or "required" in its help and a FLOAT, INTEGER or TEXT metavar."""
+    kind = keywords.get("type")
+    notes = []
+    if keywords.get("required"):
+        notes.append("required")
+    elif keywords.get("default") is not None:
+        notes.append(f"default: {keywords['default']}")
+    if isinstance(kind, _IntRange):
+        notes.append(str(kind))
+    extra = {"help": f"{keywords['help']} [{'; '.join(notes)}]" if notes else keywords["help"]}
+    if not {"metavar", "choices", "action"} & keywords.keys():
+        extra["metavar"] = "INTEGER" if isinstance(kind, _IntRange) else "FLOAT" if kind is float else "TEXT"
+    command.add_argument(flag, **{**keywords, **extra})
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="blend", description="Black-box numerical differentiation with certified step planning.", add_help=False, allow_abbrev=False)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    parser.add_argument("--version", action="version", version=f"blend, version {__version__}", help="Show the version and exit.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", title="commands", required=True)
+    for name, (function, arguments) in _COMMANDS.items():
+        # Dedents the docstring on Python versions that keep its indentation.
+        doc = function.__doc__.replace("\n    ", "\n")
+        command = commands.add_parser(
+            name,
+            help=doc.partition("\n")[0],
+            description=doc,
+            add_help=False,
+            allow_abbrev=False,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        for flag, keywords in arguments:
+            _add_argument(command, flag, keywords)
+        command.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def _join_values(args: list[str]) -> list[str]:
+    """Attach each value option of the command to its value: ``--theta -1e-3`` becomes ``--theta=-1e-3``.
+
+    A value option takes the next token whatever it looks like; argparse
+    would read a value that starts with ``-`` as an option.  Tokens after
+    ``--`` stay as they are.
+    """
+    flags = _VALUE_FLAGS.get(args[0], ()) if args else ()
+    joined = args[:1]
+    i = 1
+    while i < len(args):
+        token = args[i]
+        if token == "--":
+            joined += args[i:]
+            break
+        if token in flags and i + 1 < len(args):
+            joined.append(f"{token}={args[i + 1]}")
+            i += 2
+        else:
+            joined.append(token)
+            i += 1
+    return joined
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point with the documented exit-code contract."""
+    args = list(sys.argv[1:] if argv is None else argv)
     try:
-        result = cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        exc.show()
-        return EXIT_USAGE
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.Abort:
-        return 130
+        if not args:
+            _PARSER.print_help(sys.stderr)
+            raise _UsageError("missing command")
+        try:
+            options = vars(_PARSER.parse_args(_join_values(args)))
+        except SystemExit as exc:  # --help or --version has written its text
+            return exc.code
+        function = _COMMANDS[options.pop("command")][0]
+        return function(**options)
+    except _UsageError as exc:
+        message, code = str(exc), EXIT_USAGE
     except (OracleEvaluationError, SingularGeneratorError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_RUNTIME
-    return int(result) if isinstance(result, int) else EXIT_OK
+        message, code = str(exc), EXIT_RUNTIME
+    except KeyboardInterrupt:
+        return 130
+    except BrokenPipeError:
+        # The reader closed stdout (``blend tables all | head -1``): exit 1
+        # without a traceback, and let the exit's flush of stdout go nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:  # console-script hook

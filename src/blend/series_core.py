@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -290,8 +289,12 @@ def _evaluate_points(oracle: FunctionOracle, theta, h: float, ks: range, workers
     if not oracle.parallel_safe or workers <= 1:
         # Strictly sequential in increasing k for oracles that demand it.
         return [_evaluate_at(oracle, theta, h, k) for k in ks]
-    # Leaving the pool waits for every slot; reading in slot order raises the
-    # lowest failing k.  pool.map would cancel pending slots on an error.
+    # Imported here: concurrent.futures loads logging, about 8 ms that a serial
+    # run never needs.  Leaving the pool waits for every slot; reading in slot
+    # order raises the lowest failing k.  pool.map would cancel pending slots
+    # on an error.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(workers, len(ks))) as pool:
         futures = [pool.submit(_evaluate_at, oracle, theta, h, k) for k in ks]
         return [f.result() for f in futures]

@@ -347,11 +347,107 @@ class TestOutputContracts:
         assert proc.returncode == 0
         assert proc.stdout == "blend, version 0.1.0\n"
 
+    def test_closed_stdout_exits_1_quietly(self):
+        # A reader that went away (``blend ... | head``) ends the run without a traceback.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "blend", "plan", "--M", "1", "--b", "1", "--N", "2", "--K", "3"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=SRC_DIR),
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
     def test_main_callable_directly(self, capsys):
         code = main(["plan", "--M", "1", "--b", "1", "--N", "2", "--K", "3", "--format", "json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["command"] == "plan"
+
+
+class TestParserContract:
+    """The command line's grammar, in process: values, ordering, usage errors, help."""
+
+    OPTIONS = {
+        "diff": {"--theta": "0.0", "--h0": "0.01", "--n-max": "8", "--refinements": "8", "--min-digits": "2", "--format": "table", "--out": None},
+        "direction": {"--a": None, "--theta": None, "--v": None, "--normalize": None, "--h0": "0.01", "--n-max": "8", "--refinements": "8", "--min-digits": "2", "--format": "table", "--out": None},
+        "plan": {"--M": None, "--b": None, "--N": None, "--K": None, "--formula": "lemma2", "--format": "table", "--out": None},
+        "tables": {"--format": "table", "--out": None},
+        "queue": {"--lambda": "1.0", "--mu1": "1.0", "--mu2": "2.0", "--cap1": "10", "--cap2": "10", "--stationary-csv": None, "--h0": "0.01", "--n-max": "8", "--refinements": "8", "--min-digits": "2", "--format": "table", "--out": None},
+    }
+
+    @staticmethod
+    def config(capsys, *args):
+        assert main([*args, "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["config"]
+
+    def test_values_may_start_with_a_dash(self, capsys):
+        assert self.config(capsys, "diff", "sin", "--theta", "-1e-3")["theta"] == -0.001
+        assert self.config(capsys, "diff", "sin", "--theta=-0.5")["theta"] == -0.5
+        assert self.config(capsys, "direction", "--a", "1,1", "--theta", "1,1", "--v", "-1,0")["v"] == [-1.0, 0.0]
+
+    def test_positional_after_options_and_last_repeat_wins(self, capsys):
+        assert self.config(capsys, "diff", "--theta", "0.5", "sin")["theta"] == 0.5
+        config = self.config(capsys, "diff", "sin", "--h0", "0.1", "--theta", "-1", "--h0=0.02", "--theta", "0.25")
+        assert (config["h0"], config["theta"]) == (0.02, 0.25)
+        assert main(["diff", "--format", "json", "--", "-1*theta"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["function"] == "-1*theta"
+
+    @pytest.mark.parametrize(
+        "args, fragment",
+        [
+            (("diff", "sin", "--theta", "-inf"), "--theta must be a finite real, got -inf"),
+            (("diff", "sin", "--th", "0.5"), "--th"),
+            (("diff", "sin", "--bogus", "1"), "--bogus"),
+            (("plan", "--M", "1", "--b", "1", "--N", "2"), "--K"),
+            (("plan", "--M", "1", "--b", "1", "--N", "2", "--K", "3", "--format", "xml"), "--format: invalid choice: 'xml'"),
+            (("diff", "sin", "--n-max", "41"), "--n-max: 41 is not in the range 2<=x<=40"),
+            (("diff", "sin", "--theta", "abc"), "--theta: invalid float value: 'abc'"),
+            (("queue", "--cap2", "1.5"), "--cap2: invalid integer value: '1.5'"),
+            (("frob",), "'frob'"),
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, args, fragment):
+        assert main(list(args)) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert fragment in captured.err
+
+    def test_no_command_writes_usage_to_stderr(self, capsys):
+        assert main([]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: blend")
+        assert captured.err.endswith("\nerror: missing command\n")
+
+    @pytest.mark.parametrize("command", [None, *OPTIONS])
+    def test_help_lists_every_option(self, capsys, command):
+        assert main([command, "--help"] if command else ["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command is None:
+            assert all(name in captured.out for name in self.OPTIONS)
+            assert "--version" in captured.out
+            return
+        for flag, default in self.OPTIONS[command].items():
+            assert f"\n  {flag} " in captured.out
+            entry = " ".join(captured.out.split(f"\n  {flag} ")[1].split("\n  --")[0].split())
+            assert default is None or f"[default: {default}" in entry
+
+    def test_interrupt_exits_130(self, capsys, monkeypatch):
+        import blend.cli
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(blend.cli, "run_blend", interrupted)
+        assert main(["diff", "sin"]) == 130
+        assert capsys.readouterr().out == ""
 
 
 class TestEdgeInputs:
@@ -415,12 +511,13 @@ class TestEdgeInputs:
 
     @pytest.mark.parametrize("flag, args", [("--out", ("diff", "sin")), ("--stationary-csv", ("queue",))])
     def test_unwritable_output_path_exits_64(self, tmp_path: Path, flag, args):
-        path = str(tmp_path / "missing" / "out.txt")
-        proc = run_cli(*args, flag, path)
-        assert proc.returncode == 64
-        assert proc.stderr.startswith("error: ") and path in proc.stderr
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stdout == ""
+        # A path in a missing directory, and an existing directory.
+        for path in (str(tmp_path / "missing" / "out.txt"), str(tmp_path)):
+            proc = run_cli(*args, flag, path)
+            assert proc.returncode == 64
+            assert proc.stderr.startswith("error: ") and path in proc.stderr
+            assert len(proc.stderr.splitlines()) == 1
+            assert proc.stdout == ""
 
 
 class TestRunRecords:

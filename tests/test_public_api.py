@@ -55,16 +55,20 @@ def test_public_names_are_pinned():
 
 def test_import_leaves_numpy_unloaded():
     # Only the tandem queue needs numpy; it is imported when a queue function
-    # runs, and an analytic command leaves it unloaded too.
-    env = dict(os.environ, PYTHONPATH=str(Path(blend.__file__).resolve().parents[1]))
+    # runs, and an analytic command leaves it unloaded too.  The command line
+    # is parsed by the standard library alone, and a serial grid builds no
+    # thread pool, so neither click nor concurrent.futures (and its logging)
+    # is loaded either.
+    env = dict(os.environ, PYTHONPATH=str(Path(blend.__file__).resolve().parents[1]), BLEND_THREADS="0")
     code = (
         "import sys, blend, blend.cli\n"
-        "print('numpy' in sys.modules)\n"
+        "heavy = ('numpy', 'click', 'concurrent.futures')\n"
+        "print([name for name in heavy if name in sys.modules])\n"
         "assert blend.cli.main(['diff', 'sin', '--format', 'json']) == 0\n"
-        "print('numpy' in sys.modules)\n"
+        "print([name for name in heavy if name in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     lines = proc.stdout.splitlines()
-    assert lines[0] == "False"
+    assert lines[0] == "[]"
     assert lines[1].startswith('{"command":"diff"')
-    assert lines[-1] == "False"
+    assert lines[-1] == "[]"
