@@ -33,7 +33,6 @@ from .models import (
     StationaryDistribution,
     TandemQueueModel,
     blocking_probability,
-    build_generator,
     exp_density,
     exp_density_operator_power_closed_form,
     quadratic_form,
@@ -47,7 +46,6 @@ from .series_core import (
     PartialSumTrace,
     StencilWeights,
     blend_partial_sums,
-    compensated_dot,
     delta_from_cache,
     operator_power,
     stencil_weights,
@@ -76,8 +74,6 @@ __all__ = [
     "agreed_significant_digits",
     "blend_partial_sums",
     "blocking_probability",
-    "build_generator",
-    "compensated_dot",
     "delta_from_cache",
     "directional_oracle",
     "exp_density",

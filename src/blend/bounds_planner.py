@@ -52,6 +52,8 @@ class GrowthEnvelope:
     """Constants (M, b) bounding derivative growth: sup|phi^(n)| <= M * b**n.
 
     ``magnitude`` is M (value units); ``growth`` is b (1/parameter units).
+    A growth for which 2*b*e overflows is rejected: its step domain
+    1/(2*b*e) would be empty.
     """
 
     magnitude: float
@@ -64,6 +66,8 @@ class GrowthEnvelope:
                 raise ValueError(f"envelope {field} must be a positive finite real, got {v!r}")
         object.__setattr__(self, "magnitude", float(self.magnitude))
         object.__setattr__(self, "growth", float(self.growth))
+        if math.isinf(2.0 * self.growth * math.e):
+            raise ValueError(f"envelope growth {self.growth!r} is too large: 2*b*e overflows, so the step domain 1/(2*b*e) is empty")
 
 
 def _check_formula(formula: str) -> str:

@@ -16,7 +16,8 @@ the options.  Parsing takes about 50-110 us per command (Python 3.11, 2
 vCPUs); building the tree adds about 2 ms to the import.
 
 Exit codes: 0 success/stabilized, 2 not stabilized, 64 usage error (an
-output file that cannot be written included), 70 runtime failure (an oracle
+output file that cannot be written included; a path that is a directory or
+lies in a missing one is refused before the run), 70 runtime failure (an oracle
 evaluation or the queue's stationary solve), 130 interrupted.  Exits 64 and
 70 write exactly one ``error: <message>`` line to stderr; a usage error names
 the option and its value where there is one.  ``blend`` without a command
@@ -33,6 +34,7 @@ direction, tables and queue, the commands that evaluate an oracle.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -47,6 +49,7 @@ from .models import (
     SingularGeneratorError,
     TandemQueueModel,
     _queue_oracle,
+    _with_residual,
     blocking_mass,
     build_generator,  # noqa: F401  unused here; perfbench/spans.py wraps it under this name
     quadratic_form,
@@ -100,6 +103,24 @@ def _write_file(path: str, text: str) -> None:
             handle.write(text)
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_output(path: str | None) -> None:
+    """Refuse before the run, and without creating it, an output path that is a directory or lies in none.
+
+    The message is the one ``_write_file`` gives for it; any other failure
+    still shows when the file is written.
+    """
+    if not path:
+        return
+    if os.path.isdir(path) or path.endswith(os.sep):  # open refuses a trailing separator as a directory
+        raise _UsageError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    try:
+        # With a trailing separator, stat fails as open does on the file's
+        # directory: ENOENT when it is missing, ENOTDIR when it is a file.
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _check_threads() -> None:
@@ -300,8 +321,9 @@ def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, fmt, out_path,
     Each attempt of the run solves its whole grid as one stack.  The
     diagnostics and --stationary-csv describe the base rate, which is slot 0
     of every grid, so they come from the last attempt's stack: the command
-    makes one stationary solve per attempt and none besides.  The CSV is
-    written after the run, so a run that fails leaves none behind.
+    makes one stationary solve per attempt and none besides, and computes
+    the balance residual of the base row alone.  The CSV is written after
+    the run, so a run that fails leaves none behind.
     """
     _check_threads()
     try:
@@ -314,8 +336,8 @@ def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, fmt, out_path,
     config = _build_config(**driver)
     report = run_blend(oracle, model.arrival_rate, config)
     # Slot 0 of every attempt's grid is the base rate, so the oracle's latest
-    # stack holds its solve.
-    (base,) = stationary([model.arrival_rate])
+    # stack holds its row.
+    base = _with_residual(model, stationary([model.arrival_rate])[0])
     if stationary_csv:
         rows = [{"n1": n1, "n2": n2, "prob": float(base.probabilities[model.state_index(n1, n2)])} for n1, n2 in model.states()]
         _write_file(stationary_csv, render_csv(rows))
@@ -486,6 +508,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exc:  # --help or --version has written its text
             return exc.code
         function = _COMMANDS[options.pop("command")][0]
+        _check_output(options.get("out_path"))
+        _check_output(options.get("stationary_csv"))
         return function(**options)
     except _UsageError as exc:
         message, code = str(exc), EXIT_USAGE

@@ -188,7 +188,14 @@ def _pow(a: float, b: float) -> float:
 
 
 def compile_expression(text: str) -> Callable[[float], float]:
-    """Compile an expression in the variable ``theta`` to a float function."""
+    """Compile an expression in the variable ``theta`` to a float function.
+
+    Nesting deeper than Python's recursion limit allows the parser is an
+    :class:`ExpressionError`, like any other text that does not parse.
+    """
     if not text or not text.strip():
         raise ExpressionError("empty expression")
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ExpressionError("expression is nested too deeply to parse") from None

@@ -13,7 +13,10 @@ axis of every array, so a whole stencil grid costs one pass of numpy calls; each
 rate in a stack gets the same bits as its own solve.  The kernel makes six
 in-place numpy calls per pivot and tests the pivots once per block, after the
 sweep; the test names the pivot that a test at every step would name.  Its work
-arrays belong to one solve, so concurrent solves share nothing.
+arrays belong to one solve, so concurrent solves share nothing.  A stacked solve
+returns the normalized rows alone: the oracle reads only their blocking mass,
+and the balance residual ||pi Q||_inf is computed only for the rows whose
+:class:`StationaryDistribution` is asked for.
 """
 
 from __future__ import annotations
@@ -242,13 +245,14 @@ def build_generator(model: TandemQueueModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StationaryDistribution:
-    """Stationary probabilities plus the achieved balance residual ||pi Q||_inf."""
+    """Stationary probabilities plus the achieved balance residual ||pi Q||_inf.
+
+    ``probabilities`` is a row of a stacked solve, read-only as the solve
+    returns it.
+    """
 
     probabilities: np.ndarray
     residual_norm: float
-
-    def __post_init__(self):
-        self.probabilities.setflags(write=False)
 
 
 class _GaussJordan:
@@ -341,14 +345,30 @@ def _local_blocks(outflow: np.ndarray, mu2: float) -> np.ndarray:
     return blocks
 
 
-def _solve_stack(model: TandemQueueModel, arrival_rates: Sequence[float]) -> list[StationaryDistribution]:
-    """Stationary distributions of ``model`` at each of ``arrival_rates``, solved as one stack.
+def _outflow(model: TandemQueueModel, lam) -> np.ndarray:
+    """Total rate out of each state, the negated generator diagonal.
 
-    The method is :func:`solve_stationary`'s.  Every array carries the rates
-    on its last axis, so each numpy call serves the whole stack, and each
-    member goes through the operations of a stack of one in the same order:
-    member b has the same bits as ``solve_stationary`` at
-    ``arrival_rates[b]``.  ``model.arrival_rate`` is not used.  Raises
+    Indexed [n1, n2] for one rate ``lam``, and [n1, n2, b] for an array of rates.
+    """
+    import numpy as np
+    outflow = np.zeros((model.cap1 + 1, model.cap2 + 1, *np.shape(lam)))
+    outflow[1:, :-1] += model.mu1  # station-1 completions, halted while station 2 is full
+    outflow[:, 1:] += model.mu2  # station-2 completions
+    outflow[:-1] += lam  # arrivals, lost while station 1 is full
+    return outflow
+
+
+def _solve_stack(model: TandemQueueModel, arrival_rates: Sequence[float]) -> np.ndarray:
+    """Normalized stationary vectors of ``model`` at each of ``arrival_rates``, solved as one stack.
+
+    Returns one read-only array with a contiguous row per rate, in the
+    lexicographic state order, and nothing else: :func:`_with_residual`
+    adds the balance residual to a row where one is read.  The method is
+    :func:`solve_stationary`'s.  Every array carries the rates on its last
+    axis, so each numpy call serves the whole stack, and each member goes
+    through the operations of a stack of one in the same order: row b has
+    the same bits as ``solve_stationary`` at ``arrival_rates[b]``.
+    ``model.arrival_rate`` is not used.  Raises
     :class:`SingularGeneratorError` when a pivot of any member vanishes to
     working precision, or when the forward recurrence or normalization of
     any member is not finite; numpy's floating-point warnings are silenced,
@@ -362,13 +382,7 @@ def _solve_stack(model: TandemQueueModel, arrival_rates: Sequence[float]) -> lis
     import numpy as np
     lam = np.array(arrival_rates, dtype=float)
     with np.errstate(all="ignore"):
-        mu1, mu2 = model.mu1, model.mu2
-        # Total rate out of each state, indexed [n1, n2, b]: the negated generator diagonal.
-        outflow = np.zeros((model.cap1 + 1, model.cap2 + 1, lam.size))
-        outflow[1:, :-1] += mu1  # station-1 completions, halted while station 2 is full
-        outflow[:, 1:] += mu2  # station-2 completions
-        outflow[:-1] += lam  # arrivals, lost while station 1 is full
-        bottom, inner, top = _local_blocks(outflow[[0, 1, -1]], mu2)  # levels 1..cap1-1 share one block
+        bottom, inner, top = _local_blocks(_outflow(model, lam)[[0, 1, -1]], model.mu2)  # levels 1..cap1-1 share one block
         local = [bottom] + [inner] * (model.cap1 - 1) + [top]
         rates = [None] * (model.cap1 + 1)
         # Each censored block is written straight into the kernel's work array,
@@ -380,7 +394,7 @@ def _solve_stack(model: TandemQueueModel, arrival_rates: Sequence[float]) -> lis
             rates[j] = minus_lam * kernel.invert()
             # D has mu1 on the superdiagonal, so R_j D is a column shift of R_j.
             np.copyto(censored, local[j - 1])
-            censored[:, 1:] += mu1 * rates[j][:, :-1]
+            censored[:, 1:] += model.mu1 * rates[j][:, :-1]
         # pi_0 S_0 = 0 with pi_0[0] = 1: the other states of level 0 drain to
         # (0, 0) at rate mu2, so -S_0[1:, 1:] is a nonsingular M-matrix as well.
         # The corner inverts in place, in the view of S_0 that holds it; row 0 stays.
@@ -399,15 +413,25 @@ def _solve_stack(model: TandemQueueModel, arrival_rates: Sequence[float]) -> lis
             rate = lam[lost.argmax()].item()
             raise SingularGeneratorError(f"stationary vector at arrival rate {rate!r} is not finite in working precision")
         pi /= totals
-        # pi Q block by block: the local blocks, arrivals from the level below and
-        # station-1 completions from the level above.
-        by_level = pi.reshape(lam.size, model.cap1 + 1, model.cap2 + 1)
-        balance = -outflow.transpose(2, 0, 1) * by_level
-        balance[:, :, :-1] += mu2 * by_level[:, :, 1:]
-        balance[:, 1:] += lam[:, None, None] * by_level[:, :-1]
-        balance[:, :-1, 1:] += mu1 * by_level[:, 1:, :-1]
-        residuals = np.max(np.abs(balance), axis=(1, 2))
-        return [StationaryDistribution(probabilities=row, residual_norm=float(r)) for row, r in zip(pi, residuals)]
+    pi.setflags(write=False)
+    return pi
+
+
+def _with_residual(model: TandemQueueModel, probabilities: np.ndarray) -> StationaryDistribution:
+    """A stationary row of ``model`` at its own arrival rate, with its balance residual ||pi Q||_inf.
+
+    pi Q is formed block by block, elementwise: the local blocks, arrivals
+    from the level below and station-1 completions from the level above.
+    numpy's floating-point warnings are silenced, as in the solve.
+    """
+    import numpy as np
+    by_level = probabilities.reshape(model.cap1 + 1, model.cap2 + 1)
+    with np.errstate(all="ignore"):
+        balance = -_outflow(model, model.arrival_rate) * by_level
+        balance[:, :-1] += model.mu2 * by_level[:, 1:]
+        balance[1:] += model.arrival_rate * by_level[:-1]
+        balance[:-1, 1:] += model.mu1 * by_level[1:, :-1]
+    return StationaryDistribution(probabilities, float(np.max(np.abs(balance))))
 
 
 def solve_stationary(model: TandemQueueModel) -> StationaryDistribution:
@@ -433,13 +457,13 @@ def solve_stationary(model: TandemQueueModel) -> StationaryDistribution:
     eliminating from level 0 upward would invert L_0, which is singular
     without arrivals.
 
-    This is the stack of one of :func:`_solve_stack`, which solves a grid of
-    rates together and gives each the bits of its own solve.  Raises
-    :class:`SingularGeneratorError` when a pivot vanishes to working
+    This is the row of a stack of one of :func:`_solve_stack`, which solves
+    a grid of rates together and gives each the bits of its own solve.
+    Raises :class:`SingularGeneratorError` when a pivot vanishes to working
     precision or the vector leaves the float range.  ``residual_norm`` is
-    ||pi Q||_inf evaluated from the blocks.
+    ||pi Q||_inf evaluated from the blocks (:func:`_with_residual`).
     """
-    return _solve_stack(model, [model.arrival_rate])[0]
+    return _with_residual(model, _solve_stack(model, [model.arrival_rate])[0])
 
 
 def blocking_mass(model: TandemQueueModel, probabilities: np.ndarray) -> float:
@@ -453,17 +477,18 @@ def blocking_probability(model: TandemQueueModel) -> float:
     """Stationary probability that station 1 is full (arrivals are lost).
 
     Poisson arrivals see time averages, so this is also the long-run fraction
-    of arrivals rejected.
+    of arrivals rejected.  The stationary row is solved without its residual.
     """
-    return blocking_mass(model, solve_stationary(model).probabilities)
+    return blocking_mass(model, _solve_stack(model, [model.arrival_rate])[0])
 
 
 def queue_sensitivity_oracle(base: TandemQueueModel) -> FunctionOracle:
     """Oracle mapping an arrival rate to the model's blocking probability.
 
     A grid of rates is one stacked solve (:func:`_solve_stack`), the oracle's
-    ``batch``; a single rate is the stack of one, with the same bits.  The
-    oracle keeps the members of its latest stack, and only those: a call
+    ``batch``; a single rate is the stack of one, with the same bits.  Each
+    value is the blocking mass of a normalized row: no residual is computed.
+    The oracle keeps the rows of its latest stack, and only those: a call
     whose rates are all among them is served without a solve, so it never
     holds more than one stack.  A stack member's bits do not depend on the
     stack, so a served value is the value a solve would give, and the oracle
@@ -474,16 +499,16 @@ def queue_sensitivity_oracle(base: TandemQueueModel) -> FunctionOracle:
     return _queue_oracle(base)[0]
 
 
-def _queue_oracle(base: TandemQueueModel) -> tuple[FunctionOracle, Callable[[Sequence[float]], list[StationaryDistribution]]]:
+def _queue_oracle(base: TandemQueueModel) -> tuple[FunctionOracle, Callable[[Sequence[float]], Sequence[np.ndarray]]]:
     """:func:`queue_sensitivity_oracle` and the stationary solves behind it.
 
-    The second item maps arrival rates to their stationary distributions
+    The second item maps arrival rates to their read-only stationary rows
     through the oracle's one-stack memory: rates that are all in the latest
     stack are served from it, other rates are solved as one stack that
-    replaces it.  After a run it serves the run's own members, for instance
-    the base rate, which is slot 0 of every stencil grid.
+    replaces it.  After a run it serves the run's own rows, for instance
+    that of the base rate, which is slot 0 of every stencil grid.
     """
-    latest: dict[float, StationaryDistribution] = {}
+    latest: dict[float, np.ndarray] = {}
 
     def checked(arrival_rate: float) -> float:
         if not (arrival_rate > 0 and math.isfinite(arrival_rate)):
@@ -494,7 +519,7 @@ def _queue_oracle(base: TandemQueueModel) -> tuple[FunctionOracle, Callable[[Seq
         # The model's own validation, as for a single model.
         return dataclasses.replace(base, arrival_rate=arrival_rate).arrival_rate
 
-    def stationary(arrival_rates: Sequence[float]) -> list[StationaryDistribution]:
+    def stationary(arrival_rates: Sequence[float]) -> Sequence[np.ndarray]:
         nonlocal latest
         # One read and one rebinding of ``latest``: concurrent calls see a
         # whole stack or none, and a served member is the one a solve gives.
@@ -509,7 +534,7 @@ def _queue_oracle(base: TandemQueueModel) -> tuple[FunctionOracle, Callable[[Seq
         return stack
 
     def blocking(arrival_rates: Sequence[float]) -> list[float]:
-        return [blocking_mass(base, member.probabilities) for member in stationary(arrival_rates)]
+        return [blocking_mass(base, row) for row in stationary(arrival_rates)]
 
     oracle = FunctionOracle(
         lambda arrival_rate: blocking([arrival_rate])[0],

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blend_driver import BlendConfig, DirectionSpec, directional_oracle, run_blend
-from .models import CATALOG, TandemQueueModel, _queue_oracle, blocking_mass, quadratic_form
+from .models import CATALOG, TandemQueueModel, quadratic_form, queue_sensitivity_oracle
 from .oracle import FunctionOracle
 # Unused here; kept importable under this name for perfbench/spans.py, which wraps it.
 from .series_core import blend_partial_sums  # noqa: F401
@@ -182,13 +182,12 @@ def _experiment(number: int) -> tuple[FunctionOracle, float, float]:
     if number == 5:
         step = 1e-5
         lam = QUEUE_MODEL.arrival_rate
-        oracle, stationary = _queue_oracle(QUEUE_MODEL)
+        oracle = queue_sensitivity_oracle(QUEUE_MODEL)
         # The run's grid and both sides of the central difference as one
         # stack, which the oracle keeps: the run is then served without a
         # solve, and each member has the bits of its own solve.
         grid = [lam + k * QUEUE_H for k in range(N_MAX + 1)]
-        sides = stationary([*grid, lam - step, lam + step])[-2:]
-        lo, hi = (blocking_mass(QUEUE_MODEL, side.probabilities) for side in sides)
+        lo, hi = oracle.evaluate_many([*grid, lam - step, lam + step])[-2:]
         return oracle, lam, (hi - lo) / (2.0 * step)
     raise ValueError(f"no reference table {number}")
 

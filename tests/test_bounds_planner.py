@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 import mpmath as mp
@@ -31,6 +32,14 @@ class TestEnvelope:
             GrowthEnvelope(1.0, -2.0)
         with pytest.raises(ValueError):
             GrowthEnvelope(math.inf, 1.0)
+
+    def test_rejects_growth_whose_domain_is_empty(self):
+        # 2*b*e overflows, so h_domain would be 1/inf = 0.0.
+        for growth in (1e308, sys.float_info.max / (2.0 * math.e) * 1.0000001):
+            with pytest.raises(ValueError, match=re.escape(f"growth {growth!r} is too large")):
+                GrowthEnvelope(1.0, growth)
+        largest = GrowthEnvelope(1.0, 3e307)
+        assert h_domain(largest) == 1.0 / (2.0 * 3e307 * math.e) > 0.0
 
 
 class TestHDomain:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -286,11 +287,62 @@ class TestQueueSolveCounts:
         assert diagnostics["stationary_sum"].hex() == float(stationary.probabilities.sum()).hex()
         assert diagnostics["blocking_probability"].hex() == blocking_mass(model, stationary.probabilities).hex()
 
+    @pytest.mark.parametrize("flag", ["--out", "--stationary-csv"])
+    def test_unwritable_path_exits_before_the_run(self, capsys, solves, tmp_path: Path, flag):
+        # A directory, a path in a missing directory and one that ends in a separator:
+        # refused before any solve with the message of the write, and nothing is created.
+        paths = ((tmp_path, errno.EISDIR), (tmp_path / "missing" / "out.txt", errno.ENOENT), (f"{tmp_path}/out/", errno.EISDIR))
+        for path, code in paths:
+            assert main(["queue", "--cap1", "40", "--cap2", "40", flag, str(path)]) == 64
+            assert capsys.readouterr().err == f"error: cannot write {path}: {os.strerror(code)}\n"
+        assert solves == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_run_writes_no_csv(self, capsys, tmp_path: Path):
         path = tmp_path / "pi.csv"
         assert main(["queue", "--mu2", "1e-300", "--stationary-csv", str(path), "--format", "json"]) == 70
         assert capsys.readouterr().err.startswith("error: ")
         assert not path.exists()
+
+
+class TestResidualOnlyWhereRead:
+    """The balance residual is computed for the base row that ``blend queue`` reports, and nowhere else."""
+
+    @pytest.fixture
+    def residuals(self, monkeypatch):
+        import blend.cli as cli
+        import blend.models as models
+
+        calls = []
+        with_residual = models._with_residual
+
+        def counted(model, probabilities):
+            calls.append(model.arrival_rate)
+            return with_residual(model, probabilities)
+
+        monkeypatch.setattr(models, "_with_residual", counted)
+        monkeypatch.setattr(cli, "_with_residual", counted)
+        return calls
+
+    @pytest.mark.parametrize("h0, refinements", [("0.01", 0), ("0.5", 2)])
+    def test_queue_computes_it_once(self, capsys, residuals, h0, refinements):
+        assert main(["queue", "--h0", h0, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["refinements"] == refinements
+        assert residuals == [1.0]
+
+    @pytest.mark.parametrize("which", ["5", "all"])
+    def test_tables_never_compute_it(self, capsys, residuals, which):
+        assert main(["tables", which, "--format", "json"]) == 0
+        capsys.readouterr()
+        assert residuals == []
+
+    def test_oracle_run_and_blocking_probability_never_compute_it(self, residuals):
+        from blend import BlendConfig, TandemQueueModel, blocking_probability, queue_sensitivity_oracle, run_blend
+
+        model = TandemQueueModel(1.0, 1.0, 2.0, 10, 10)
+        assert run_blend(queue_sensitivity_oracle(model), 1.0, BlendConfig(h0=0.5)).refinements == 2
+        blocking_probability(model)
+        assert residuals == []
 
 
 class TestOutputContracts:
@@ -475,6 +527,10 @@ class TestEdgeInputs:
             (("diff", "exp(theta)", "--theta", "709.75", "--h0", "0.02"), 0),
             # The forward recurrence overflows: the solve raises instead of returning NaN diagnostics.
             (("queue", "--mu2", "1e-300"), 70),
+            # Nesting beyond the parser's recursion limit is a malformed expression.
+            (("diff", "(" * 400 + "theta" + ")" * 400), 64),
+            # 2*b*e overflows: the envelope names its growth instead of planning from a zero step.
+            (("plan", "--M", "1", "--b", "1e308", "--N", "2", "--K", "5"), 64),
         ],
     )
     def test_exits_with_documented_code(self, args, code):
@@ -490,7 +546,7 @@ class TestEdgeInputs:
             assert payload.get("analytic_reference") is None
             if args[0] == "diff":
                 assert all(row["delta"] is None for row in payload["trace"])
-        if code == 70:
+        if code in (64, 70):
             assert proc.stderr.startswith("error: ")
             assert proc.stderr.count("\n") == 1
 

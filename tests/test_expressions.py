@@ -49,6 +49,10 @@ class TestErrors:
         with pytest.raises(ExpressionError):
             compile_expression(text)
 
+    def test_nesting_beyond_the_recursion_limit(self):
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            compile_expression("(" * 400 + "theta" + ")" * 400)
+
     def test_error_carries_position(self):
         with pytest.raises(ExpressionError, match="position"):
             compile_expression("1 + bogus")

@@ -20,13 +20,12 @@ from blend import (
     SingularGeneratorError,
     TandemQueueModel,
     blocking_probability,
-    build_generator,
     queue_sensitivity_oracle,
     run_blend,
     solve_stationary,
 )
 import blend.models as models
-from blend.models import _level_inverse, _queue_oracle, _solve_stack
+from blend.models import _level_inverse, _queue_oracle, _solve_stack, _with_residual, build_generator
 
 REFERENCE_MODEL = TandemQueueModel(arrival_rate=1.0, mu1=1.0, mu2=2.0, cap1=10, cap2=10)
 
@@ -331,9 +330,11 @@ def _unstacked_solve(model: TandemQueueModel) -> tuple[bytes, float]:
     return pi.tobytes(), float(np.max(np.abs(balance)))
 
 
-def _same_solution(stacked, model: TandemQueueModel) -> bool:
+def _same_solution(row: np.ndarray, model: TandemQueueModel) -> bool:
+    # The row's bytes and the residual the helper gives it, against
+    # solve_stationary and the unstacked reduction at the row's own rate.
     single = solve_stationary(model)
-    bits = (stacked.probabilities.tobytes(), repr(stacked.residual_norm))
+    bits = (row.tobytes(), repr(_with_residual(model, row).residual_norm))
     reference = _unstacked_solve(model)
     return bits == (single.probabilities.tobytes(), repr(single.residual_norm)) == (reference[0], repr(reference[1]))
 
@@ -347,9 +348,9 @@ class TestStackedSolve:
         base = TandemQueueModel(1.0, 1.3, 0.8, *caps)
         rates = [0.9 + k * 0.0123 for k in range(size)]
         stack = _solve_stack(base, rates)
-        assert len(stack) == size
-        for rate, member in zip(rates, stack):
-            assert _same_solution(member, TandemQueueModel(rate, 1.3, 0.8, *caps))
+        assert stack.shape == (size, base.state_count)
+        for rate, row in zip(rates, stack):
+            assert _same_solution(row, TandemQueueModel(rate, 1.3, 0.8, *caps))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -360,13 +361,15 @@ class TestStackedSolve:
     )
     def test_matches_one_solve_per_rate_random(self, cap1, cap2, service, rates):
         stack = _solve_stack(TandemQueueModel(1.0, *service, cap1, cap2), rates)
-        for rate, member in zip(rates, stack):
-            assert _same_solution(member, TandemQueueModel(rate, *service, cap1, cap2))
+        for rate, row in zip(rates, stack):
+            assert _same_solution(row, TandemQueueModel(rate, *service, cap1, cap2))
 
     def test_stack_of_one_is_solve_stationary(self):
-        (member,) = _solve_stack(REFERENCE_MODEL, [REFERENCE_MODEL.arrival_rate])
-        assert _same_solution(member, REFERENCE_MODEL)
-        assert not member.probabilities.flags.writeable
+        stack = _solve_stack(REFERENCE_MODEL, [REFERENCE_MODEL.arrival_rate])
+        assert not stack.flags.writeable
+        (row,) = stack
+        assert _same_solution(row, REFERENCE_MODEL)
+        assert not row.flags.writeable
 
 
 class TestBlocking:
