@@ -10,18 +10,18 @@ One Gauss-Jordan kernel on M-matrix blocks eliminates every level, level 0
 included: it fixes the empty state's probability instead of a normalization row.
 The kernel and the solve run on a stack of arrival rates, the rates on the last
 axis of every array, so a whole stencil grid costs one pass of numpy calls; each
-rate in a stack gets the same bits as its own solve.  The kernel makes six
-in-place numpy calls per pivot and tests the pivots once per block, after the
-sweep; the test names the pivot that a test at every step would name.  Its work
-arrays belong to one solve, so concurrent solves share nothing.  A stacked solve
-returns the normalized rows alone: the oracle reads only their blocking mass,
-and the balance residual ||pi Q||_inf is computed only for the rows whose
-:class:`StationaryDistribution` is asked for.
+rate in a stack gets the same bits as its own solve.  A pivot step of the
+kernel is four slice assignments on views built once per solve and three numpy
+calls with positional outputs; the pivots are tested once per block, after the
+sweep, and the test names the pivot that a test at every step would name.  Its
+work arrays belong to one solve, so concurrent solves share nothing.  A stacked
+solve returns the normalized rows alone: the oracle reads only their blocking
+mass, one reduction per stack, and the balance residual ||pi Q||_inf is computed
+only for the rows whose :class:`StationaryDistribution` is asked for.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -260,8 +260,10 @@ class _GaussJordan:
 
     Write a block into ``block`` and call :meth:`invert`; one instance serves
     every block of its size in one solve.  The views of every pivot step are
-    built here, once, so a pivot costs six numpy calls.  An instance belongs
-    to one solve: concurrent solves share no array.
+    built here, once, so a pivot costs four slice assignments (factor column
+    above and below the pivot row, pivot, unit column) and three numpy calls
+    with positional outputs.  An instance belongs to one solve: concurrent
+    solves share no array.
     """
 
     def __init__(self, block: np.ndarray):
@@ -274,9 +276,12 @@ class _GaussJordan:
         # the rank-1 update subtracts 0 * row from the pivot row, as the
         # elimination of one block does, and that turns -0.0 into +0.0.
         factors = np.zeros((n, n, 1, size))
-        unit = np.eye(n, dtype=bool)[:, :, None, None]
+        unit = np.eye(n)[:, :, None, None]
         columns = a.transpose(1, 0, 2)[:, :, None]
-        self._steps = list(zip(factors, ~unit, columns, self._pivots, a.diagonal().T, unit, a))
+        self._steps = [
+            (f, f[:k], c[:k], f[k + 1 :], c[k + 1 :], c, self._pivots[k], a[k, k], unit[k], a[k])
+            for k, (f, c) in enumerate(zip(factors, columns))
+        ]
 
     def invert(self) -> np.ndarray:
         """Replace ``block`` by its inverse and return it (see :func:`_level_inverse`).
@@ -287,16 +292,17 @@ class _GaussJordan:
         import numpy as np
         a, update, pivots = self.block, self._update, self._pivots
         tol = a.shape[0] * _EPS * np.maximum.reduce(np.abs(a), axis=1)
-        for factors, off_pivot, column, pivot, diagonal, unit, row in self._steps:
+        for factors, above, column_above, below, column_below, column, pivot, diagonal, unit, row in self._steps:
             # Column k of the working array turns into column k of the inverse:
             # set it to the unit column, scale the pivot row, then eliminate
             # with one rank-1 update.
-            np.copyto(factors, column, where=off_pivot)
-            np.copyto(pivot, diagonal)
-            np.copyto(column, unit)
-            np.divide(row, pivot, out=row)
-            np.multiply(factors, row, out=update)
-            np.subtract(a, update, out=a)
+            above[...] = column_above
+            below[...] = column_below
+            pivot[...] = diagonal
+            column[...] = unit
+            np.divide(row, pivot, row)
+            np.multiply(factors, row, update)
+            np.subtract(a, update, a)
         # Members are independent and pivot k depends only on the steps
         # before k, so the lowest lost k and its first lost member are where
         # a test at every step would have stopped.
@@ -310,11 +316,12 @@ class _GaussJordan:
 def _level_inverse(s: np.ndarray) -> np.ndarray:
     """Inverses of a stack of censored level blocks, shape (n, n, B), by Gauss-Jordan.
 
-    The batch is the last axis: each numpy call does one step for every
-    member, and every member goes through the same elementwise operations in
-    the same order as it would alone, so its inverse has the same bits in a
-    stack of any size.  There are no row swaps: each block is the negative
-    of a nonsingular M-matrix, so every pivot is nonzero without pivoting.
+    The batch is the last axis: each slice assignment and numpy call does
+    one step for every member, and every member goes through the same
+    elementwise operations in the same order as it would alone, so its
+    inverse has the same bits in a stack of any size.  There are no row
+    swaps: each block is the negative of a nonsingular M-matrix, so every
+    pivot is nonzero without pivoting.
     Pivot k at or below n * eps * max|s[k, :]| of its own member raises
     :class:`SingularGeneratorError` naming the lowest such k and the first
     member lost there; scaling by its own row keeps rates orders of
@@ -487,7 +494,9 @@ def queue_sensitivity_oracle(base: TandemQueueModel) -> FunctionOracle:
 
     A grid of rates is one stacked solve (:func:`_solve_stack`), the oracle's
     ``batch``; a single rate is the stack of one, with the same bits.  Each
-    value is the blocking mass of a normalized row: no residual is computed.
+    value is the blocking mass of a normalized row, summed as
+    :func:`blocking_mass` sums it, in one reduction over the stack: no
+    residual is computed.
     The oracle keeps the rows of its latest stack, and only those: a call
     whose rates are all among them is served without a solve, so it never
     holds more than one stack.  A stack member's bits do not depend on the
@@ -508,6 +517,7 @@ def _queue_oracle(base: TandemQueueModel) -> tuple[FunctionOracle, Callable[[Seq
     replaces it.  After a run it serves the run's own rows, for instance
     that of the base rate, which is slot 0 of every stencil grid.
     """
+    import numpy as np
     latest: dict[float, np.ndarray] = {}
 
     def checked(arrival_rate: float) -> float:
@@ -516,8 +526,10 @@ def _queue_oracle(base: TandemQueueModel) -> tuple[FunctionOracle, Callable[[Seq
                 f"stencil requested arrival rate {arrival_rate!r} <= 0; "
                 "reduce the step size relative to the base rate"
             )
-        # The model's own validation, as for a single model.
-        return dataclasses.replace(base, arrival_rate=arrival_rate).arrival_rate
+        # The type test of TandemQueueModel, with its message.
+        if not isinstance(arrival_rate, (int, float)):
+            raise ValueError(f"arrival_rate must be a finite real >= 0, got {arrival_rate!r}")
+        return float(arrival_rate)
 
     def stationary(arrival_rates: Sequence[float]) -> Sequence[np.ndarray]:
         nonlocal latest
@@ -533,8 +545,13 @@ def _queue_oracle(base: TandemQueueModel) -> tuple[FunctionOracle, Callable[[Seq
         latest = dict(zip(rates, stack))
         return stack
 
+    start = base.state_index(base.cap1, 0)
+
     def blocking(arrival_rates: Sequence[float]) -> list[float]:
-        return [blocking_mass(base, row) for row in stationary(arrival_rates)]
+        # The blocking mass of every row in one reduction: each row's last
+        # level is summed as blocking_mass sums it, so each value keeps its bits.
+        rows = np.asarray(stationary(arrival_rates))
+        return np.add.reduce(rows[:, start:], axis=1).tolist()
 
     oracle = FunctionOracle(
         lambda arrival_rate: blocking([arrival_rate])[0],

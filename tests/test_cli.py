@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import argparse
 import errno
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import blend
+import blend.cli as cli
 from blend.cli import main
 from blend.output import canonical_json
 
@@ -500,6 +504,50 @@ class TestParserContract:
         monkeypatch.setattr(blend.cli, "run_blend", interrupted)
         assert main(["diff", "sin"]) == 130
         assert capsys.readouterr().out == ""
+
+
+class TestLazyArguments:
+    """Each command's parser takes its arguments on its first parse, once, also when first parses race."""
+
+    @staticmethod
+    def commands(parser) -> dict:
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_arguments_are_added_on_the_first_parse_of_their_command(self):
+        parser = cli._build_parser()
+        commands = self.commands(parser)
+        assert set(commands) == set(cli._COMMANDS)
+        assert not any(command._actions for command in commands.values())
+        first = vars(parser.parse_args(cli._join_values(["diff", "sin", "--theta", "-1e-3"])))
+        flags = [action.option_strings or [action.dest] for action in commands["diff"]._actions]
+        assert flags == [[flag] for flag, _ in cli._COMMANDS["diff"][1]] + [["--help"]]
+        assert not any(command._actions for name, command in commands.items() if name != "diff")
+        assert vars(parser.parse_args(["diff", "sin", "--theta=-1e-3"])) == first
+        assert len(commands["diff"]._actions) == len(flags)
+
+    def test_concurrent_first_parses_see_every_argument(self):
+        args = cli._join_values(["queue", "--cap1", "3", "--mu2", "0.5", "--format", "json", "--stationary-csv", "pi.csv"])
+        expected = vars(cli._build_parser().parse_args(args))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                parser = cli._build_parser()
+                start = threading.Barrier(8)
+
+                def parse():
+                    start.wait(timeout=60)
+                    try:
+                        return vars(parser.parse_args(args))
+                    except cli._UsageError as exc:
+                        return str(exc)
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(parse) for _ in range(8)]
+                    assert [future.result(timeout=60) for future in futures] == [expected] * 8
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestEdgeInputs:

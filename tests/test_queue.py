@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -263,7 +265,8 @@ def _m_matrix_stacks(draw):
     # exact zeros, rows scaled across decades, and a diagonal that outweighs
     # its row by a positive slack, so every member is strictly diagonally
     # dominant and no pivot is lost.
-    n, size = draw(st.integers(1, 21)), draw(st.integers(1, 12))
+    # n reaches 41, the largest block the CLI builds (--cap2 40).
+    n, size = draw(st.integers(1, 41)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
     stack = rng.random((n, n, size)) * (rng.random((n, n, size)) < density)
@@ -416,19 +419,34 @@ class TestSensitivityOracle:
         report = run_blend(oracle, 1.0, BlendConfig(h0=0.01))
         assert report.stabilized
 
-    def test_rejects_nonpositive_rate(self):
-        oracle = queue_sensitivity_oracle(REFERENCE_MODEL)
+    @pytest.mark.parametrize("rate", [0.0, -0.01, float("nan"), float("inf")])
+    def test_rejects_nonpositive_rate(self, rate):
         with pytest.raises(ValueError, match="reduce the step"):
-            oracle.evaluate(0.0)
+            queue_sensitivity_oracle(REFERENCE_MODEL).evaluate(rate)
+        with pytest.raises(ValueError, match="reduce the step"):
+            queue_sensitivity_oracle(REFERENCE_MODEL).evaluate_many([1.0, rate])
 
-    def test_grid_batch_matches_point_by_point(self):
+    @pytest.mark.parametrize("caps", [(1, 1), (1, 40), (40, 1), (3, 20), (10, 10)], ids=lambda c: f"{c[0]}x{c[1]}")
+    def test_grid_batch_matches_point_by_point(self, caps):
+        base = TandemQueueModel(1.0, 1.0, 2.0, *caps)
         points = [0.95 + k * 0.01 for k in range(9)]
-        batched = queue_sensitivity_oracle(REFERENCE_MODEL)
-        single = queue_sensitivity_oracle(REFERENCE_MODEL)
+        batched = queue_sensitivity_oracle(base)
+        single = queue_sensitivity_oracle(base)
         values = batched.evaluate_many(points)
         assert [v.hex() for v in values] == [single.evaluate(p).hex() for p in points]
-        assert [v.hex() for v in values] == [blocking_probability(TandemQueueModel(p, 1.0, 2.0, 10, 10)).hex() for p in points]
+        assert [v.hex() for v in values] == [blocking_probability(TandemQueueModel(p, 1.0, 2.0, *caps)).hex() for p in points]
         assert batched.eval_count == 9
+
+    @pytest.mark.parametrize("rate", [Fraction(1, 2), Decimal("0.5")], ids=["Fraction", "Decimal"])
+    def test_model_error_for_rates_that_are_not_floats(self, rate):
+        # The message of TandemQueueModel for the same rate.
+        with pytest.raises(ValueError) as model_error:
+            TandemQueueModel(rate, 1.0, 2.0, 10, 10)
+        assert str(model_error.value) == f"arrival_rate must be a finite real >= 0, got {rate!r}"
+        with pytest.raises(ValueError, match=re.escape(str(model_error.value))):
+            queue_sensitivity_oracle(REFERENCE_MODEL).evaluate(rate)
+        with pytest.raises(ValueError, match=re.escape(str(model_error.value))):
+            queue_sensitivity_oracle(REFERENCE_MODEL).evaluate_many([1.0, rate])
 
     def test_batch_rejects_nonpositive_rate(self):
         oracle = queue_sensitivity_oracle(REFERENCE_MODEL)
