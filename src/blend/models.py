@@ -8,16 +8,14 @@ block-tridiagonal generator is solved level by level, so the blocking
 probability is an ordinary numerically-evaluated function of the arrival rate.
 One Gauss-Jordan kernel on M-matrix blocks eliminates every level, level 0
 included: it fixes the empty state's probability instead of a normalization row.
-The kernel and the solve run on a stack of arrival rates, the rates on the last
-axis of every array, so a whole stencil grid costs one pass of numpy calls; each
-rate in a stack gets the same bits as its own solve.  A pivot step of the
-kernel is four slice assignments on views built once per solve and three numpy
-calls with positional outputs; the pivots are tested once per block, after the
-sweep, and the test names the pivot that a test at every step would name.  Its
-work arrays belong to one solve, so concurrent solves share nothing.  A stacked
-solve returns the normalized rows alone: the oracle reads only their blocking
-mass, one reduction per stack, and the balance residual ||pi Q||_inf is computed
-only for the rows whose :class:`StationaryDistribution` is asked for.
+The kernel (:class:`_GaussJordan`) and the solve (:func:`_solve_stack`) run on
+a stack of arrival rates, the rates on the last axis of every array, so a whole
+stencil grid costs one pass of numpy calls.  Each contract is stated where it
+is kept: a member's bits in :func:`_solve_stack`, the pivot test in
+:meth:`_GaussJordan.invert` and the ownership of the work arrays in
+:class:`_GaussJordan`.  A stacked solve returns the normalized rows alone: the
+oracle reads only their blocking mass, and the balance residual ||pi Q||_inf is
+computed only for the rows whose :class:`StationaryDistribution` is asked for.
 """
 
 from __future__ import annotations
@@ -284,10 +282,16 @@ class _GaussJordan:
         ]
 
     def invert(self) -> np.ndarray:
-        """Replace ``block`` by its inverse and return it (see :func:`_level_inverse`).
+        """Replace ``block`` by its inverse and return it.
 
-        The caller silences numpy's floating-point warnings: a lost pivot
-        runs on to the end of the sweep before the pivot test sees it.
+        The pivots are tested once, after the sweep: pivot k at or below
+        n * eps * max|s[k, :]| of its own member raises
+        :class:`SingularGeneratorError` naming the lowest such k and the
+        first member lost there, the pivot that a test at every step would
+        name.  Scaling by its own row keeps rates orders of magnitude apart
+        in other rows from passing for a lost pivot.  The caller silences
+        numpy's floating-point warnings: a lost pivot runs on to the end of
+        the sweep before the test sees it.
         """
         import numpy as np
         a, update, pivots = self.block, self._update, self._pivots
@@ -317,20 +321,12 @@ def _level_inverse(s: np.ndarray) -> np.ndarray:
     """Inverses of a stack of censored level blocks, shape (n, n, B), by Gauss-Jordan.
 
     The batch is the last axis: each slice assignment and numpy call does
-    one step for every member, and every member goes through the same
-    elementwise operations in the same order as it would alone, so its
-    inverse has the same bits in a stack of any size.  There are no row
-    swaps: each block is the negative of a nonsingular M-matrix, so every
-    pivot is nonzero without pivoting.
-    Pivot k at or below n * eps * max|s[k, :]| of its own member raises
-    :class:`SingularGeneratorError` naming the lowest such k and the first
-    member lost there; scaling by its own row keeps rates orders of
-    magnitude apart in other rows from passing for a lost pivot.  The pivot
-    test runs once per block, after the sweep, and names the pivot that a
-    test at every step would name.  Rank-1 updates are elementwise numpy
-    products, never BLAS, so the result is bit-identical under any BLAS
-    threading.  The work arrays (:class:`_GaussJordan`) belong to this call,
-    and numpy's floating-point warnings are silenced inside it.
+    one step for every member.  There are no row swaps: each block is the
+    negative of a nonsingular M-matrix, so every pivot is nonzero without
+    pivoting; :meth:`_GaussJordan.invert` tests the pivots.  Rank-1 updates
+    are elementwise numpy products, never BLAS, so the result is
+    bit-identical under any BLAS threading.  numpy's floating-point warnings
+    are silenced inside this call.
     """
     import numpy as np
     with np.errstate(all="ignore"):
@@ -377,14 +373,11 @@ def _solve_stack(model: TandemQueueModel, arrival_rates: Sequence[float]) -> np.
     the same bits as ``solve_stationary`` at ``arrival_rates[b]``.
     ``model.arrival_rate`` is not used.  Raises
     :class:`SingularGeneratorError` when a pivot of any member vanishes to
-    working precision, or when the forward recurrence or normalization of
-    any member is not finite; numpy's floating-point warnings are silenced,
-    since every non-finite vector raises.  The pivots of each block are
-    tested once, after its sweep, and the error names the pivot that a test
-    at every step would name.  Each censored block is written straight into
-    the work array of one :class:`_GaussJordan` per block size; those arrays
-    are made by this call and belong to it, so concurrent solves share
-    nothing.
+    working precision (:meth:`_GaussJordan.invert`), or when the forward
+    recurrence or normalization of any member is not finite; numpy's
+    floating-point warnings are silenced, since every non-finite vector
+    raises.  Each censored block is written straight into the work array of
+    one :class:`_GaussJordan` per block size, made by this call.
     """
     import numpy as np
     lam = np.array(arrival_rates, dtype=float)
@@ -458,26 +451,29 @@ def solve_stationary(model: TandemQueueModel) -> StationaryDistribution:
         pi_0[1:] = -S_0[0, 1:] S_0[1:, 1:]^-1,
 
     then pi_j = pi_{j-1} R_j and the whole vector is normalized.  Every
-    inverse is a :func:`_level_inverse` of an M-matrix block, so one pivot
-    rule covers the whole solve.  The cost is O(cap1 * cap2^3) against
+    inverse is a :class:`_GaussJordan` inverse of an M-matrix block, so one
+    pivot rule covers the whole solve.  The cost is O(cap1 * cap2^3) against
     O((cap1 * cap2)^3) for the dense system, and the order matters:
     eliminating from level 0 upward would invert L_0, which is singular
     without arrivals.
 
-    This is the row of a stack of one of :func:`_solve_stack`, which solves
-    a grid of rates together and gives each the bits of its own solve.
-    Raises :class:`SingularGeneratorError` when a pivot vanishes to working
+    This is the row of a stack of one of :func:`_solve_stack`.  Raises
+    :class:`SingularGeneratorError` when a pivot vanishes to working
     precision or the vector leaves the float range.  ``residual_norm`` is
     ||pi Q||_inf evaluated from the blocks (:func:`_with_residual`).
     """
     return _with_residual(model, _solve_stack(model, [model.arrival_rate])[0])
 
 
-def blocking_mass(model: TandemQueueModel, probabilities: np.ndarray) -> float:
-    """Mass of a stationary vector on the states (cap1, 0..cap2), where station 1 is full."""
+def blocking_mass(model: TandemQueueModel, probabilities: np.ndarray | Sequence[np.ndarray]) -> float | list[float]:
+    """Mass of a stationary vector on the states (cap1, 0..cap2), where station 1 is full.
+
+    ``probabilities`` is one row, which gives a float, or a stack of rows,
+    which gives a list with the float of each: a row's mass is the same
+    reduction, with the same bits, in a stack of any size.
+    """
     import numpy as np
-    start = model.state_index(model.cap1, 0)
-    return float(np.sum(probabilities[start : start + model.cap2 + 1]))
+    return np.add.reduce(np.asarray(probabilities)[..., model.state_index(model.cap1, 0) :], axis=-1).tolist()
 
 
 def blocking_probability(model: TandemQueueModel) -> float:
@@ -493,17 +489,16 @@ def queue_sensitivity_oracle(base: TandemQueueModel) -> FunctionOracle:
     """Oracle mapping an arrival rate to the model's blocking probability.
 
     A grid of rates is one stacked solve (:func:`_solve_stack`), the oracle's
-    ``batch``; a single rate is the stack of one, with the same bits.  Each
-    value is the blocking mass of a normalized row, summed as
-    :func:`blocking_mass` sums it, in one reduction over the stack: no
-    residual is computed.
+    ``batch``; a single rate is the stack of one.  Each value is the
+    :func:`blocking_mass` of a normalized row: no residual is computed.
     The oracle keeps the rows of its latest stack, and only those: a call
     whose rates are all among them is served without a solve, so it never
-    holds more than one stack.  A stack member's bits do not depend on the
-    stack, so a served value is the value a solve would give, and the oracle
-    is safe for concurrent evaluation.  Arrival rates <= 0 are rejected before
-    anything is solved: a stencil can only request one if the step is too
-    large relative to the base rate.
+    holds more than one stack.  A served row is the row a solve would give
+    (:func:`_solve_stack`), so the oracle is safe for concurrent evaluation.
+    Every rate is checked before anything is served or solved: a rate <= 0
+    is rejected, which a stencil can only request if the step is too large
+    relative to the base rate, and so is a rate that is not an int or a
+    float, with the message of :class:`TandemQueueModel`.
     """
     return _queue_oracle(base)[0]
 
@@ -517,7 +512,6 @@ def _queue_oracle(base: TandemQueueModel) -> tuple[FunctionOracle, Callable[[Seq
     replaces it.  After a run it serves the run's own rows, for instance
     that of the base rate, which is slot 0 of every stencil grid.
     """
-    import numpy as np
     latest: dict[float, np.ndarray] = {}
 
     def checked(arrival_rate: float) -> float:
@@ -533,25 +527,22 @@ def _queue_oracle(base: TandemQueueModel) -> tuple[FunctionOracle, Callable[[Seq
 
     def stationary(arrival_rates: Sequence[float]) -> Sequence[np.ndarray]:
         nonlocal latest
+        # Every rate is checked before the memory is read, so a rate the
+        # solve refuses is refused when its float is in the memory too.
+        rates = [checked(rate) for rate in arrival_rates]
         # One read and one rebinding of ``latest``: concurrent calls see a
         # whole stack or none, and a served member is the one a solve gives.
         kept = latest
         try:
-            return [kept[rate] for rate in arrival_rates]
+            return [kept[rate] for rate in rates]
         except KeyError:
             pass
-        rates = [checked(rate) for rate in arrival_rates]
         stack = _solve_stack(base, rates)
         latest = dict(zip(rates, stack))
         return stack
 
-    start = base.state_index(base.cap1, 0)
-
     def blocking(arrival_rates: Sequence[float]) -> list[float]:
-        # The blocking mass of every row in one reduction: each row's last
-        # level is summed as blocking_mass sums it, so each value keeps its bits.
-        rows = np.asarray(stationary(arrival_rates))
-        return np.add.reduce(rows[:, start:], axis=1).tolist()
+        return blocking_mass(base, stationary(arrival_rates))
 
     oracle = FunctionOracle(
         lambda arrival_rate: blocking([arrival_rate])[0],

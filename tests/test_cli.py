@@ -505,26 +505,14 @@ class TestParserContract:
         assert main(["diff", "sin"]) == 130
         assert capsys.readouterr().out == ""
 
-
-class TestLazyArguments:
-    """Each command's parser takes its arguments on its first parse, once, also when first parses race."""
-
-    @staticmethod
-    def commands(parser) -> dict:
-        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        return action.choices
-
-    def test_arguments_are_added_on_the_first_parse_of_their_command(self):
-        parser = cli._build_parser()
-        commands = self.commands(parser)
-        assert set(commands) == set(cli._COMMANDS)
-        assert not any(command._actions for command in commands.values())
-        first = vars(parser.parse_args(cli._join_values(["diff", "sin", "--theta", "-1e-3"])))
-        flags = [action.option_strings or [action.dest] for action in commands["diff"]._actions]
-        assert flags == [[flag] for flag, _ in cli._COMMANDS["diff"][1]] + [["--help"]]
-        assert not any(command._actions for name, command in commands.items() if name != "diff")
-        assert vars(parser.parse_args(["diff", "sin", "--theta=-1e-3"])) == first
-        assert len(commands["diff"]._actions) == len(flags)
+    def test_every_command_has_its_arguments_at_import(self):
+        # A fresh tree has seen no parse, whatever the order the tests run in.
+        for parser in (cli._PARSER, cli._build_parser()):
+            (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            assert list(action.choices) == list(cli._COMMANDS)
+            for name, command in action.choices.items():
+                flags = [a.option_strings or [a.dest] for a in command._actions]
+                assert flags == [[flag] for flag, _ in cli._COMMANDS[name][1]] + [["--help"]]
 
     def test_concurrent_first_parses_see_every_argument(self):
         args = cli._join_values(["queue", "--cap1", "3", "--mu2", "0.5", "--format", "json", "--stationary-csv", "pi.csv"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -74,3 +75,38 @@ def test_import_leaves_numpy_unloaded():
     assert lines[0] == "[]"
     assert lines[1].startswith('{"command":"diff"')
     assert lines[-1] == "[]"
+
+
+# Imported and never referenced, on purpose: perfbench/spans.py wraps each under this module's name.
+SPAN_ONLY_IMPORTS = {("cli", "build_generator"), ("cli", "solve_stationary"), ("reference_tables", "blend_partial_sums")}
+
+
+def _imports_of(scope: ast.AST):
+    """The import statements of a module or function body, not those of the functions nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_import_is_referenced():
+    unused = set()
+    for path in sorted(Path(blend.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            referenced = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+            for statement in _imports_of(scope):
+                if isinstance(statement, ast.ImportFrom) and statement.module == "__future__":
+                    continue
+                for alias in statement.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in referenced:
+                        unused.add((path.stem, name))
+    assert sorted(unused) == sorted(SPAN_ONLY_IMPORTS)

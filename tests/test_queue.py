@@ -447,6 +447,11 @@ class TestSensitivityOracle:
             queue_sensitivity_oracle(REFERENCE_MODEL).evaluate(rate)
         with pytest.raises(ValueError, match=re.escape(str(model_error.value))):
             queue_sensitivity_oracle(REFERENCE_MODEL).evaluate_many([1.0, rate])
+        # An oracle whose memory holds the rate's float refuses it as well.
+        solved = queue_sensitivity_oracle(REFERENCE_MODEL)
+        solved.evaluate_many([0.5, 0.6])
+        with pytest.raises(ValueError, match=re.escape(str(model_error.value))):
+            solved.evaluate(rate)
 
     def test_batch_rejects_nonpositive_rate(self):
         oracle = queue_sensitivity_oracle(REFERENCE_MODEL)
