@@ -87,6 +87,10 @@ def round_to_digits(x: float, digits: int) -> float:
     return round(x, digits - 1 - exponent)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class BlendConfig:
     """Driver configuration.
@@ -105,14 +109,14 @@ class BlendConfig:
     min_agree_digits: int = 2
 
     def __post_init__(self):
-        if not (isinstance(self.h0, (int, float)) and math.isfinite(self.h0) and self.h0 > 0):
+        if not ((isinstance(self.h0, float) or _is_int(self.h0)) and math.isfinite(self.h0) and self.h0 > 0):
             raise ValueError(f"h0 must be a positive finite real, got {self.h0!r}")
         object.__setattr__(self, "h0", float(self.h0))
-        if not isinstance(self.n_max, int) or isinstance(self.n_max, bool) or not 2 <= self.n_max <= ORDER_CAP:
+        if not _is_int(self.n_max) or not 2 <= self.n_max <= ORDER_CAP:
             raise ValueError(f"n_max must be an integer in [2, {ORDER_CAP}], got {self.n_max!r}")
-        if not isinstance(self.max_h_refinements, int) or self.max_h_refinements < 0:
-            raise ValueError(f"max_h_refinements must be >= 0, got {self.max_h_refinements!r}")
-        if not isinstance(self.min_agree_digits, int) or not 1 <= self.min_agree_digits <= PRECISION_CAP:
+        if not _is_int(self.max_h_refinements) or self.max_h_refinements < 0:
+            raise ValueError(f"max_h_refinements must be an integer >= 0, got {self.max_h_refinements!r}")
+        if not _is_int(self.min_agree_digits) or not 1 <= self.min_agree_digits <= PRECISION_CAP:
             raise ValueError(f"min_agree_digits must be an integer in [1, {PRECISION_CAP}], got {self.min_agree_digits!r}")
 
 
@@ -150,7 +154,8 @@ def run_blend(
     at most PRECISION_CAP = 15 digits.  Values are not reused across
     refinements, although each halved grid repeats half of the previous one
     bit for bit.  Non-finite partial sums count as zero agreement and trigger
-    refinement rather than aborting.
+    refinement rather than aborting.  A run whose next step would underflow to
+    zero stops at the last positive step and is reported as not stabilized.
     """
     start_count = oracle.eval_count
     for attempt in range(config.max_h_refinements + 1):
@@ -162,7 +167,7 @@ def run_blend(
         else:
             digits = 0
         stabilized = digits >= config.min_agree_digits
-        if stabilized:
+        if stabilized or config.h0 * H_SHRINK_FACTOR ** (attempt + 1) == 0.0:
             break
     return BlendReport(
         value=round_to_digits(last, digits) if stabilized else last,

@@ -18,13 +18,17 @@ caching and concurrent evaluation.  Weights are accumulated in exact rational
 arithmetic and converted to floating point once; the alternating binomials
 would otherwise cancel catastrophically.
 
-Every finite float is an integer over a power of two, so each float row (once
-per order) and each float grid (once per attempt) is written as integers over
-one common denominator.  Each product w_k * phi_k is then exact in integers,
-and each order's sum is rounded once, by a correctly rounded division.
-Non-finite inputs, and sums beyond the float range, give NaN.  A sweep over
-N = 1..N_max costs O(N_max^2) integer multiplications per attempt on top of
-the N_max + 1 oracle evaluations.
+Every weighted sum over a grid (the partial sums, :func:`delta_from_cache`
+and :func:`operator_power`) goes through one kernel, which reads the grid once.
+Every finite float is an integer over a power of two, so a float grid is
+written once as integers over one common denominator, and so is each float
+row (once per order).  Each product w_k * phi_k is then exact in integers, and
+each sum is rounded once, by a correctly rounded division; a sum beyond the
+float range gives NaN.  Grids of other numeric types (exact rationals,
+multi-precision floats) take the exact row in Neumaier order.  An order that
+reaches a non-finite float gives NaN.  A sweep over N = 1..N_max costs
+O(N_max^2) integer multiplications per attempt on top of the N_max + 1 oracle
+evaluations.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .oracle import FunctionOracle, OracleEvaluationError
 
@@ -106,7 +110,7 @@ def stencil_weights(order_n: int) -> StencilWeights:
     return _weight_row(_check_order(order_n))
 
 
-def _fixed_point(xs: Sequence[float]) -> tuple[tuple[int, ...], int]:
+def _fixed_point(xs: Iterable[float]) -> tuple[tuple[int, ...], int]:
     # Finite floats as integers over their largest denominator: xs[k] is
     # ints[k] / den exactly, since each denominator is a power of two.
     ratios = [x.as_integer_ratio() for x in xs]
@@ -128,43 +132,42 @@ def _exact_dot(a: tuple[tuple[int, ...], int], b: tuple[tuple[int, ...], int]) -
         return math.nan
 
 
-def _neumaier(values) -> object:
+def _neumaier(terms) -> object:
     # Generic compensated accumulation for non-float numerics (exact rationals,
     # multi-precision floats).  Fixed iteration order.
-    total = None
-    comp = None
-    for v in values:
-        if total is None:
-            total, comp = v, v - v  # zero of the right type
-            continue
+    terms = iter(terms)
+    total = next(terms, 0.0)
+    comp = total - total  # zero of the right type
+    for v in terms:
         t = total + v
         if abs(total) >= abs(v):
             comp = comp + ((total - t) + v)
         else:
             comp = comp + ((v - t) + total)
         total = t
-    if total is None:
-        return 0.0
     return total + comp
 
 
-def compensated_dot(coeffs: Sequence, values: Sequence) -> object:
-    """sum_k coeffs[k] * values[k], rounded once on the float path.
+def _reduce(values: Sequence, orders: Sequence[int], fixed_row, exact_row) -> list:
+    """sum_k row_k * values[k], k = 0..n, for each order n of ``orders``.
 
-    For float values each product (the coefficient taken as a float) is exact
-    in integers and the sum is rounded once, correctly; a non-finite input, or
-    a sum beyond the float range, gives NaN.  So integer coefficients that
-    cancel (the binomial rows of :func:`operator_power` on a constant) give
-    exact zeros, while a float stencil row, whose sum is not exactly 0, leaves
-    a residue of up to about u * sum|w_k| * |c| against a constant c.  Other
-    numeric types use compensated Neumaier accumulation in fixed k order.
+    The grid is checked, and its floats converted to fixed point, once for
+    all orders.  An order whose slots all hold finite floats takes
+    ``fixed_row(n)``, a row in fixed point: its sum is exact in integers and
+    rounded once, NaN past the float range.  An order that reaches a
+    non-finite float gives NaN.  Other orders take ``exact_row(n)`` in
+    Neumaier order.
     """
-    if all(type(v) is float for v in values):
-        coeffs = [float(c) for c in coeffs]
-        if all(map(math.isfinite, coeffs)) and all(map(math.isfinite, values)):
-            return _exact_dot(_fixed_point(coeffs), _fixed_point(values))
-        return math.nan
-    return _neumaier(c * v for c, v in zip(coeffs, values))
+    end = len(values)
+    fixed = next((k for k, v in enumerate(values) if type(v) is not float or not math.isfinite(v)), end)
+    finite = end if fixed == end else next((k for k, v in enumerate(values[fixed:], fixed) if type(v) is float and not math.isfinite(v)), end)
+    grid = _fixed_point(values[:fixed])
+    return [
+        _exact_dot(fixed_row(n), grid) if n < fixed
+        else math.nan if n >= finite
+        else _neumaier(map(operator.mul, exact_row(n), values))
+        for n in orders
+    ]
 
 
 def operator_power(
@@ -175,13 +178,15 @@ def operator_power(
     *,
     cache: Sequence | None = None,
 ) -> object:
-    """(J - T_h)^n phi(theta) = sum_k (-1)^k C(n,k) phi(theta + k*h), as one compensated sum.
+    """(J - T_h)^n phi(theta) = sum_k (-1)^k C(n,k) phi(theta + k*h), by the grid kernel.
 
     Consumes exactly n+1 fresh oracle evaluations, made like the grid of
     :func:`blend_partial_sums`, or none when ``cache`` (pre-evaluated
     phi(theta + k*h) for k = 0..n, in slot order) is supplied.
-    On a polynomial of degree < n the alternating binomial row annihilates the
-    value, so the result sits at cancellation level.
+    The integer binomial row is reduced like a stencil row: against a float
+    grid the sum is exact and rounded once, so on a constant the row cancels
+    to an exact zero, and on a polynomial of degree < n the result sits at
+    the rounding level of the values.
     """
     _check_order(n)
     _check_step(h)
@@ -191,8 +196,8 @@ def operator_power(
         values = list(cache[: n + 1])
     else:
         values = _evaluate_grid(oracle, theta, h, n, max_workers=None)
-    coeffs = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
-    return compensated_dot(coeffs, values)
+    row = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+    return _reduce(values, (n,), lambda _: (row, 1), lambda _: row)[0]
 
 
 @dataclass(frozen=True)
@@ -200,8 +205,9 @@ class PartialSumTrace:
     """Partial sums Delta(1,h)..Delta(N_max,h) plus the cached grid values.
 
     ``deltas[N-1]`` is recomputable bit-identically from ``cached_values`` and
-    ``stencil_weights(N)`` alone via :func:`delta_from_cache`, which reduces
-    with the same kernel.
+    ``stencil_weights(N)`` alone via :func:`delta_from_cache`: both reduce
+    through the one grid kernel, and an exact sum rounded once does not depend
+    on the common denominator of the grid it was read from.
     """
 
     theta: float
@@ -213,23 +219,20 @@ class PartialSumTrace:
 def delta_from_cache(weights: StencilWeights, cached_values: Sequence, h: float) -> float:
     """Delta(N, h) = -(1/h) * sum_k w_k * phi(theta + k*h) from cached values.
 
-    A float grid is reduced against the float row ``weights.weights`` by
-    :func:`compensated_dot`.  Other grids (exact rationals, multi-precision
-    floats) take the exact row ``weights.exact``, so the rounding of the
-    weights does not cap their precision.  Non-finite cached values yield NaN
-    (callers treat that as "not stabilized") rather than propagating inf-inf
-    artifacts out of the sum.
+    The grid kernel reduces the row it is handed: a float grid against
+    ``weights.weights``, taken as floats, in fixed point, exact and rounded
+    once; other grids (exact rationals, multi-precision floats) against
+    ``weights.exact``, so the rounding of the weights does not cap their
+    precision.  A non-finite cached value yields NaN (callers treat that as
+    "not stabilized") rather than an inf - inf artifact, and so does a sum
+    beyond the float range.
     """
     _check_step(h)
     n = weights.order_n
     if len(cached_values) < n + 1:
         raise ValueError(f"need {n + 1} cached values for order {n}, got {len(cached_values)}")
     values = cached_values[: n + 1]
-    if all(type(v) is float for v in values):
-        return -compensated_dot(weights.weights, values) / h
-    if any(type(v) is float and not math.isfinite(v) for v in values):
-        return math.nan
-    return -_neumaier(w * v for w, v in zip(weights.exact, values)) / h
+    return -_reduce(values, (n,), lambda _: _fixed_point(map(float, weights.weights)), lambda _: weights.exact)[0] / h
 
 
 def _evaluate_at(oracle: FunctionOracle, theta, h: float, k: int):
@@ -330,13 +333,5 @@ def blend_partial_sums(
     _check_order(n_max, "n_max")
     _check_step(h)
     values = _evaluate_grid(oracle, theta, h, n_max, max_workers)
-    orders = range(1, n_max + 1)
-    if all(type(v) is float for v in values):
-        # delta_from_cache's kernel, with the grid checked and converted once;
-        # the orders that reach the first non-finite slot are NaN.
-        finite = next((k for k, v in enumerate(values) if not math.isfinite(v)), n_max + 1)
-        grid = _fixed_point(values[:finite])
-        deltas = tuple([-_exact_dot(_fixed_row(n), grid) / h if n < finite else math.nan for n in orders])
-    else:
-        deltas = tuple([delta_from_cache(_weight_row(n), values, h) for n in orders])
-    return PartialSumTrace(theta=theta, h=h, deltas=deltas, cached_values=tuple(values))
+    sums = _reduce(values, range(1, n_max + 1), _fixed_row, lambda n: _weight_row(n).exact)
+    return PartialSumTrace(theta=theta, h=h, deltas=tuple([-s / h for s in sums]), cached_values=tuple(values))

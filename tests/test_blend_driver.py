@@ -118,6 +118,10 @@ class TestConfig:
             BlendConfig(h0=0.1, min_agree_digits=0)
         with pytest.raises(ValueError):
             BlendConfig(h0=0.1, min_agree_digits=PRECISION_CAP + 1)
+        # bool is an int subclass; every field refuses it, as n_max does.
+        for fields in ({"h0": True}, {"h0": 0.1, "max_h_refinements": True}, {"h0": 0.1, "min_agree_digits": True}):
+            with pytest.raises(ValueError):
+                BlendConfig(**fields)
 
 
 class TestRunBlend:
@@ -184,6 +188,18 @@ class TestRunBlend:
         assert report.stabilized
         assert report.refinements >= 2  # 0.2 -> 0.1 -> 0.05 brings 8*h under 0.5
         assert report.eval_count == (report.refinements + 1) * 9
+
+    @pytest.mark.parametrize("h0, refinements", [(1e-300, 100), (0.1, 1100)])
+    def test_step_underflow_ends_unstabilized(self, h0, refinements):
+        # sin'(pi/2) = 0 never stabilizes; the run stops at the last step above zero.
+        oracle = FunctionOracle(math.sin)
+        config = BlendConfig(h0=h0, max_h_refinements=refinements)
+        report = run_blend(oracle, math.pi / 2, config)
+        assert not report.stabilized
+        assert report.refinements < refinements
+        assert report.h_used == h0 * H_SHRINK_FACTOR**report.refinements > 0.0
+        assert h0 * H_SHRINK_FACTOR ** (report.refinements + 1) == 0.0
+        assert report.eval_count == oracle.eval_count == (report.refinements + 1) * (config.n_max + 1)
 
     def test_exhausted_refinements_reports_failure(self):
         oracle = FunctionOracle(lambda t: math.inf if t != 0.0 else 0.0)

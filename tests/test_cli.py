@@ -567,6 +567,8 @@ class TestEdgeInputs:
             (("diff", "(" * 400 + "theta" + ")" * 400), 64),
             # 2*b*e overflows: the envelope names its growth instead of planning from a zero step.
             (("plan", "--M", "1", "--b", "1e308", "--N", "2", "--K", "5"), 64),
+            # The step underflows to zero before the refinements run out: the run stops at the last positive step.
+            (("queue", "--h0", "1e-300", "--refinements", "100"), 2),
         ],
     )
     def test_exits_with_documented_code(self, args, code):

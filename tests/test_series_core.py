@@ -258,6 +258,20 @@ def _reference_delta(n: int, values, h: float) -> float:
     return -_reference_neumaier(w * v for w, v in zip(stencil_weights(n).exact, values)) / h
 
 
+def _reference_power(n: int, values):
+    """(J - T_h)^n from the grid: the integer row's exact sum against a float grid, rounded once; Neumaier otherwise."""
+    values = list(values[: n + 1])
+    row = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+    if any(type(v) is float and not math.isfinite(v) for v in values):
+        return math.nan
+    if all(type(v) is float for v in values):
+        try:
+            return float(sum(c * Fraction(v) for c, v in zip(row, values)))
+        except OverflowError:  # the exact sum lies beyond the float range
+            return math.nan
+    return _reference_neumaier(c * v for c, v in zip(row, values))
+
+
 def _outcome(fn):
     """Bits of each float that ``fn`` returns (one token for every NaN), or the exception raised."""
     try:
@@ -304,6 +318,12 @@ class TestExactReduction:
         # The sweep raises what the first failing order raises, if any order does.
         failure = next((e for e in expected if isinstance(e, tuple)), None)
         assert _outcome(sweep) == (failure or [bits for (bits,) in expected])
+
+        # operator_power reduces its integer binomial row through the same kernel.
+        oracle = FunctionOracle(math.sin)
+        powers = [_outcome(lambda n=n: [operator_power(oracle, 0.0, h, n, cache=values)]) for n in orders]
+        assert powers == [_outcome(lambda n=n: [_reference_power(n, values)]) for n in orders]
+        assert oracle.eval_count == 0
 
     def test_custom_row_is_reduced_as_given(self):
         # delta_from_cache reduces the row it is handed, not the cached row of its order.
