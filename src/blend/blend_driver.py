@@ -139,6 +139,11 @@ class BlendReport:
     eval_count: int
 
 
+def _collapsed(theta, h: float, n_max: int) -> bool:
+    """Whether two of the grid points theta + k*h, k = 0..n_max, round alike."""
+    return len({theta + k * h for k in range(n_max + 1)}) <= n_max
+
+
 def run_blend(
     oracle: FunctionOracle,
     theta: float,
@@ -156,18 +161,22 @@ def run_blend(
     bit for bit.  Non-finite partial sums count as zero agreement and trigger
     refinement rather than aborting.  A run whose next step would underflow to
     zero stops at the last positive step and is reported as not stabilized.
+    So does a run whose grid collapses: when two of its points theta + k*h
+    round to the same number, the attempt scores 0 digits and the run stops,
+    since a smaller step only collapses the grid further.
     """
     start_count = oracle.eval_count
     for attempt in range(config.max_h_refinements + 1):
         h = config.h0 * H_SHRINK_FACTOR**attempt
         trace = blend_partial_sums(oracle, theta, h, config.n_max, max_workers=max_workers)
         previous, last = trace.deltas[-2], trace.deltas[-1]
-        if math.isfinite(previous) and math.isfinite(last):
+        collapsed = _collapsed(theta, h, config.n_max)
+        if math.isfinite(previous) and math.isfinite(last) and not collapsed:
             digits = agreed_significant_digits(previous, last)
         else:
             digits = 0
         stabilized = digits >= config.min_agree_digits
-        if stabilized or config.h0 * H_SHRINK_FACTOR ** (attempt + 1) == 0.0:
+        if stabilized or collapsed or config.h0 * H_SHRINK_FACTOR ** (attempt + 1) == 0.0:
             break
     return BlendReport(
         value=round_to_digits(last, digits) if stabilized else last,

@@ -47,6 +47,11 @@ _RESIDUAL_RTOL = 1e-3
 _LOG_MAX = math.log(sys.float_info.max)
 
 
+def _is_real(x) -> bool:
+    # An int or a float, not a bool: the rule of BlendConfig.h0.
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class GrowthEnvelope:
     """Constants (M, b) bounding derivative growth: sup|phi^(n)| <= M * b**n.
@@ -62,7 +67,7 @@ class GrowthEnvelope:
     def __post_init__(self):
         for field in ("magnitude", "growth"):
             v = getattr(self, field)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (_is_real(v) and math.isfinite(v) and v > 0):
                 raise ValueError(f"envelope {field} must be a positive finite real, got {v!r}")
         object.__setattr__(self, "magnitude", float(self.magnitude))
         object.__setattr__(self, "growth", float(self.growth))

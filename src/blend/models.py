@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .bounds_planner import GrowthEnvelope
+from .bounds_planner import GrowthEnvelope, _is_real
 from .oracle import FunctionOracle
 
 if TYPE_CHECKING:
@@ -186,11 +186,11 @@ class TandemQueueModel:
     cap2: int
 
     def __post_init__(self):
-        if not (isinstance(self.arrival_rate, (int, float)) and self.arrival_rate >= 0 and math.isfinite(self.arrival_rate)):
+        if not (_is_real(self.arrival_rate) and self.arrival_rate >= 0 and math.isfinite(self.arrival_rate)):
             raise ValueError(f"arrival_rate must be a finite real >= 0, got {self.arrival_rate!r}")
         for field in ("mu1", "mu2"):
             v = getattr(self, field)
-            if not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
+            if not (_is_real(v) and v > 0 and math.isfinite(v)):
                 raise ValueError(f"{field} must be a positive finite real, got {v!r}")
         for field in ("cap1", "cap2"):
             v = getattr(self, field)
@@ -521,7 +521,7 @@ def _queue_oracle(base: TandemQueueModel) -> tuple[FunctionOracle, Callable[[Seq
                 "reduce the step size relative to the base rate"
             )
         # The type test of TandemQueueModel, with its message.
-        if not isinstance(arrival_rate, (int, float)):
+        if not _is_real(arrival_rate):
             raise ValueError(f"arrival_rate must be a finite real >= 0, got {arrival_rate!r}")
         return float(arrival_rate)
 

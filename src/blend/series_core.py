@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -292,15 +293,110 @@ def _evaluate_points(oracle: FunctionOracle, theta, h: float, ks: range, workers
     if not oracle.parallel_safe or workers <= 1:
         # Strictly sequential in increasing k for oracles that demand it.
         return [_evaluate_at(oracle, theta, h, k) for k in ks]
-    # Imported here: concurrent.futures loads logging, about 8 ms that a serial
-    # run never needs.  Leaving the pool waits for every slot; reading in slot
-    # order raises the lowest failing k.  pool.map would cancel pending slots
-    # on an error.
-    from concurrent.futures import ThreadPoolExecutor
+    # The calling thread claims slots side by side with up to workers - 1
+    # helpers, then waits only for helpers still evaluating one of its slots,
+    # never for a ticket no helper has taken: so a grid evaluated inside an
+    # oracle, or in a forked child, cannot deadlock.  Every slot is
+    # evaluated before the lowest failing one is raised; an interrupt of the
+    # calling thread propagates at once, and no slot is claimed after it.
+    grid = _Grid(oracle, theta, h, ks)
+    _post(grid, min(workers, len(ks)) - 1)
+    try:
+        while (i := grid.claim(helper=False)) < grid.size:
+            try:
+                grid.values[i] = _evaluate_at(oracle, theta, h, ks[i])
+            except Exception as exc:
+                grid.errors[i] = exc
+        with grid.lock:
+            busy = grid.busy
+        if busy:
+            grid.idle.acquire()
+    except BaseException:
+        with grid.lock:
+            grid.next = grid.size
+        raise
+    if grid.errors:
+        raise grid.errors[min(grid.errors)]
+    return grid.values
 
-    with ThreadPoolExecutor(max_workers=min(workers, len(ks))) as pool:
-        futures = [pool.submit(_evaluate_at, oracle, theta, h, k) for k in ks]
-        return [f.result() for f in futures]
+
+class _Grid:
+    """The slots of one parallel grid, claimed in increasing order under ``lock``.
+
+    ``busy`` counts the helpers evaluating a slot; ``idle`` is held until the
+    last of them leaves a grid whose slots are all claimed.
+    """
+
+    def __init__(self, oracle: FunctionOracle, theta, h: float, ks: range):
+        self.oracle, self.theta, self.h, self.ks = oracle, theta, h, ks
+        self.size = len(ks)
+        self.values: list = [None] * self.size
+        self.errors: dict[int, BaseException] = {}
+        self.next = 0
+        self.busy = 0
+        self.lock = threading.Lock()
+        self.idle = threading.Lock()
+        self.idle.acquire()
+
+    def claim(self, helper: bool) -> int:
+        """The next unclaimed slot, or ``size`` when none is left."""
+        with self.lock:
+            i = self.next
+            if i < self.size:
+                self.next = i + 1
+                self.busy += helper
+            return i
+
+    def help(self) -> None:
+        # A helper's exception, of any kind, is its slot's outcome.
+        while (i := self.claim(helper=True)) < self.size:
+            try:
+                self.values[i] = _evaluate_at(self.oracle, self.theta, self.h, self.ks[i])
+            except BaseException as exc:
+                self.errors[i] = exc
+            with self.lock:
+                self.busy -= 1
+                last = not self.busy and self.next == self.size
+            if last:
+                self.idle.release()
+
+
+#: Helper threads started in this process, the queue of grids they take
+#: tickets from, and the lock under which more are started.
+_helpers = 0
+_tickets = None
+_pool_lock = threading.Lock()
+
+
+def _post(grid: _Grid, seats: int) -> None:
+    """Offer ``grid`` to ``seats`` helpers, starting any that the process lacks."""
+    global _helpers, _tickets
+    if _helpers < seats:
+        with _pool_lock:
+            if _tickets is None:
+                from queue import SimpleQueue
+
+                _tickets = SimpleQueue()
+            while _helpers < seats:
+                threading.Thread(target=_help, args=(_tickets,), name="blend-grid", daemon=True).start()
+                _helpers += 1
+    for _ in range(seats):
+        _tickets.put(grid)
+
+
+def _help(tickets) -> None:
+    while True:
+        tickets.get().help()
+
+
+def _forget_helpers() -> None:
+    # A forked child has none of its parent's threads; it starts its own.
+    global _helpers, _tickets, _pool_lock
+    _helpers, _tickets, _pool_lock = 0, None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
 
 
 def blend_partial_sums(
@@ -322,9 +418,14 @@ def blend_partial_sums(
     evaluations on ``eval_count``.  Other oracles' evaluations run
     concurrently when the oracle declares ``parallel_safe`` and the worker
     budget (``max_workers``, defaulting to the BLEND_THREADS environment
-    variable) exceeds one.  Results are deposited into slot k and the
-    reduction is always performed serially in fixed index order, so serial,
-    parallel and batched runs produce bit-identical traces.
+    variable) exceeds one: the calling thread evaluates slots side by side
+    with up to ``min(workers, n_max + 1) - 1`` helper threads.  The helpers
+    are daemon threads named ``blend-grid``, started by the first such grid
+    and kept for the life of the process, so no grid starts a thread of its
+    own.  Results are deposited into slot k and the reduction is always
+    performed serially in fixed index order, so serial, parallel and batched
+    runs produce bit-identical traces.  A parallel grid evaluates every slot
+    before it raises the lowest failing one.
 
     Raises:
         OracleEvaluationError: an evaluation failed; the failing grid slot is

@@ -191,15 +191,36 @@ class TestRunBlend:
 
     @pytest.mark.parametrize("h0, refinements", [(1e-300, 100), (0.1, 1100)])
     def test_step_underflow_ends_unstabilized(self, h0, refinements):
-        # sin'(pi/2) = 0 never stabilizes; the run stops at the last step above zero.
-        oracle = FunctionOracle(math.sin)
+        # Non-finite values never stabilize, and at theta = 0 the points k*h stay
+        # apart down to the smallest subnormal step: the run stops at the last
+        # step above zero.
+        oracle = FunctionOracle(lambda t: math.inf if t != 0.0 else 0.0)
         config = BlendConfig(h0=h0, max_h_refinements=refinements)
-        report = run_blend(oracle, math.pi / 2, config)
+        report = run_blend(oracle, 0.0, config)
         assert not report.stabilized
         assert report.refinements < refinements
         assert report.h_used == h0 * H_SHRINK_FACTOR**report.refinements > 0.0
         assert h0 * H_SHRINK_FACTOR ** (report.refinements + 1) == 0.0
         assert report.eval_count == oracle.eval_count == (report.refinements + 1) * (config.n_max + 1)
+
+    @pytest.mark.parametrize(
+        "theta, h0, n_max, refinements",
+        [(1.0, 1e-17, 2, 0), (math.pi / 2, 1e-300, 8, 0), (math.pi / 2, 0.1, 8, 49)],
+    )
+    def test_collapsed_grid_ends_unstabilized(self, theta, h0, n_max, refinements):
+        # Once theta + k*h repeats a point, the attempt scores 0 digits and the
+        # run stops there: at theta = 1 every point is 1 and Delta(1) = Delta(2) = 0
+        # would agree bit for bit, and at pi/2 the 49th halving is the first
+        # whose nine points are not all distinct.
+        oracle = FunctionOracle(math.sin)
+        config = BlendConfig(h0=h0, n_max=n_max, max_h_refinements=1100)
+        report = run_blend(oracle, theta, config)
+        assert not report.stabilized and report.agreed_digits == 0
+        assert report.refinements == refinements
+        assert report.h_used == h0 * H_SHRINK_FACTOR**refinements
+        assert report.eval_count == oracle.eval_count == (refinements + 1) * (n_max + 1)
+        assert len({theta + k * report.h_used for k in range(n_max + 1)}) <= n_max
+        assert refinements == 0 or len({theta + k * 2 * report.h_used for k in range(n_max + 1)}) == n_max + 1
 
     def test_exhausted_refinements_reports_failure(self):
         oracle = FunctionOracle(lambda t: math.inf if t != 0.0 else 0.0)

@@ -33,6 +33,14 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             GrowthEnvelope(math.inf, 1.0)
 
+    def test_rejects_bools(self):
+        # True == 1 would otherwise pass as a magnitude or growth of 1.0.
+        with pytest.raises(ValueError, match="envelope magnitude must be a positive finite real, got True"):
+            GrowthEnvelope(True, 1.0)
+        with pytest.raises(ValueError, match="envelope growth must be a positive finite real, got True"):
+            GrowthEnvelope(1, True)
+        assert GrowthEnvelope(1, 1) == GrowthEnvelope(1.0, 1.0)
+
     def test_rejects_growth_whose_domain_is_empty(self):
         # 2*b*e overflows, so h_domain would be 1/inf = 0.0.
         for growth in (1e308, sys.float_info.max / (2.0 * math.e) * 1.0000001):

@@ -567,7 +567,7 @@ class TestEdgeInputs:
             (("diff", "(" * 400 + "theta" + ")" * 400), 64),
             # 2*b*e overflows: the envelope names its growth instead of planning from a zero step.
             (("plan", "--M", "1", "--b", "1e308", "--N", "2", "--K", "5"), 64),
-            # The step underflows to zero before the refinements run out: the run stops at the last positive step.
+            # Every arrival rate 1 + k*1e-300 rounds to 1: the collapsed grid is not refined.
             (("queue", "--h0", "1e-300", "--refinements", "100"), 2),
         ],
     )
@@ -593,6 +593,20 @@ class TestEdgeInputs:
         report = run_json("diff", "exp(theta)", "--theta", "709.75", "--h0", "0.02")["report"]
         assert (report["value"], report["agreed_digits"]) == (1.73983687e308, 9)
         assert (report["refinements"], report["eval_count"]) == (3, 36)
+
+    @pytest.mark.parametrize(
+        "args, refinements, evals",
+        [
+            # Every point 1 + k*1e-17 is 1: the order-1 and order-2 sums are both exactly 0.
+            (("--theta", "1", "--h0", "1e-17", "--n-max", "2"), 0, 3),
+            # The 49th halving is the first step whose nine points repeat one.
+            (("--theta", "1.5707963267948966", "--h0", "0.1", "--refinements", "1100"), 49, 450),
+        ],
+    )
+    def test_collapsed_grid_exits_2(self, args, refinements, evals):
+        report = run_json("diff", "sin", *args, expect_code=2)["report"]
+        assert (report["stabilized"], report["agreed_digits"]) == (False, 0)
+        assert (report["refinements"], report["eval_count"]) == (refinements, evals)
 
     @pytest.mark.parametrize(
         "v, unit",

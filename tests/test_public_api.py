@@ -59,8 +59,8 @@ def test_public_names_are_pinned():
 def test_import_leaves_numpy_unloaded():
     # Only the tandem queue needs numpy; it is imported when a queue function
     # runs, and an analytic command leaves it unloaded too.  The command line
-    # is parsed by the standard library alone, and a serial grid builds no
-    # thread pool, so neither click nor concurrent.futures (and its logging)
+    # is parsed by the standard library alone, and a parallel grid runs on
+    # plain threads, so neither click nor concurrent.futures (and its logging)
     # is loaded either.
     env = dict(os.environ, PYTHONPATH=str(Path(blend.__file__).resolve().parents[1]), BLEND_THREADS="0")
     code = (
@@ -75,6 +75,22 @@ def test_import_leaves_numpy_unloaded():
     assert lines[0] == "[]"
     assert lines[1].startswith('{"command":"diff"')
     assert lines[-1] == "[]"
+
+
+def test_parallel_grid_runs_on_persistent_helpers():
+    # Four workers on a nine-point grid: three helper threads, started by the
+    # first grid and reused by the second, and no executor module.
+    env = dict(os.environ, PYTHONPATH=str(Path(blend.__file__).resolve().parents[1]), BLEND_THREADS="4")
+    code = (
+        "import sys, threading, blend.cli\n"
+        "for _ in range(2):\n"
+        "    assert blend.cli.main(['diff', 'sin', '--format', 'json']) == 0\n"
+        "    print([t.daemon for t in threading.enumerate() if t.name == 'blend-grid'])\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    lines = [line for line in proc.stdout.splitlines() if not line.startswith("{")]
+    assert lines == ["[True, True, True]", "[True, True, True]", "False"]
 
 
 # Imported and never referenced, on purpose: perfbench/spans.py wraps each under this module's name.

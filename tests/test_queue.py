@@ -71,6 +71,13 @@ class TestModel:
         with pytest.raises(ValueError):
             TandemQueueModel(1.0, 1.0, 1.0, 0, 2)
 
+    @pytest.mark.parametrize("field", ["arrival_rate", "mu1", "mu2"])
+    def test_rejects_bools(self, field):
+        rates = {"arrival_rate": 1.0, "mu1": 1.0, "mu2": 2.0, field: True}
+        with pytest.raises(ValueError, match=f"{field} must be a .*finite real.*, got True"):
+            TandemQueueModel(**rates, cap1=3, cap2=3)
+        assert TandemQueueModel(1, 1, 2, 3, 3) == TandemQueueModel(1.0, 1.0, 2.0, 3, 3)
+
     def test_state_enumeration(self):
         model = TandemQueueModel(1.0, 1.0, 1.0, 1, 2)
         assert model.state_count == 6
@@ -452,6 +459,19 @@ class TestSensitivityOracle:
         solved.evaluate_many([0.5, 0.6])
         with pytest.raises(ValueError, match=re.escape(str(model_error.value))):
             solved.evaluate(rate)
+
+    def test_refuses_a_bool_rate(self):
+        # True hashes like 1.0, so the memory of a solve at 1.0 must not serve it.
+        message = re.escape("arrival_rate must be a finite real >= 0, got True")
+        oracle = queue_sensitivity_oracle(REFERENCE_MODEL)
+        with pytest.raises(ValueError, match=message):
+            oracle.evaluate(True)
+        oracle.evaluate_many([1.0, 1.01])
+        with pytest.raises(ValueError, match=message):
+            oracle.evaluate(True)
+        with pytest.raises(ValueError, match=message):
+            oracle.evaluate_many([1.01, True])
+        assert oracle.evaluate(1) == oracle.evaluate(1.0)
 
     def test_batch_rejects_nonpositive_rate(self):
         oracle = queue_sensitivity_oracle(REFERENCE_MODEL)

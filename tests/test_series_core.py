@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -397,6 +399,111 @@ class TestParallelism:
             blend_partial_sums(oracle, 0.0, 0.1, 8, max_workers=2)
         assert err.value.index == 1
         assert oracle.eval_count == 9
+
+    def test_calling_thread_evaluates_a_slot(self):
+        threads = []
+
+        def fn(t):
+            threads.append(threading.current_thread())
+            time.sleep(0.002)
+            return t
+
+        blend_partial_sums(FunctionOracle(fn, parallel_safe=True), 0.0, 0.1, 8, max_workers=2)
+        assert len(threads) == 9
+        assert threading.current_thread() in threads
+        assert all(t is threading.current_thread() or t.name == "blend-grid" for t in threads)
+
+    def test_helpers_persist_across_grids(self):
+        oracle = FunctionOracle(math.sin, parallel_safe=True)
+        warm = blend_partial_sums(oracle, 0.2, 0.03, 8, max_workers=4)
+        count = threading.active_count()
+        for _ in range(100):
+            assert blend_partial_sums(oracle, 0.2, 0.03, 8, max_workers=4) == warm
+        assert threading.active_count() == count
+        helpers = [t for t in threading.enumerate() if t.name == "blend-grid"]
+        assert 3 <= len(helpers) <= ORDER_CAP and all(t.daemon for t in helpers)
+
+    def test_concurrent_grids_under_a_short_switch_interval(self):
+        # Eight callers share the helpers; a lost claim or a slot evaluated
+        # twice would break a grid's values or the exact evaluation count.
+        expected = blend_partial_sums(FunctionOracle(math.sin), 0.2, 0.03, 8, max_workers=0)
+        oracle = FunctionOracle(math.sin, parallel_safe=True)
+        mismatches = []
+
+        def caller():
+            for _ in range(50):
+                if blend_partial_sums(oracle, 0.2, 0.03, 8, max_workers=8) != expected:
+                    mismatches.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, daemon=True) for _ in range(8)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert not mismatches and oracle.eval_count == 8 * 50 * 9
+
+    def test_nested_parallel_grid_matches_serial(self):
+        # Each outer value is itself a parallel grid's last partial sum, so
+        # helpers evaluating outer slots start inner grids of their own.
+        def outer(workers):
+            def fn(t):
+                inner = FunctionOracle(lambda u: (time.sleep(0.001), math.sin(u))[1], parallel_safe=True)
+                return blend_partial_sums(inner, t, 0.01, 6, max_workers=workers).deltas[-1]
+
+            return blend_partial_sums(FunctionOracle(fn, parallel_safe=True), 0.3, 0.02, 6, max_workers=workers)
+
+        result = {}
+        runner = threading.Thread(target=lambda: result.update(trace=outer(4)), daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "nested parallel grid did not finish"
+        assert result["trace"] == outer(0)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_starts_its_own_helpers(self):
+        oracle = FunctionOracle(lambda t: (time.sleep(0.001), math.sin(t))[1], parallel_safe=True)
+        expected = blend_partial_sums(oracle, 0.2, 0.03, 8, max_workers=4)
+        pid = os.fork()
+        if pid == 0:
+            # The parent's helpers do not exist here; the child's first grid starts three.
+            code = 1
+            try:
+                same = blend_partial_sums(oracle, 0.2, 0.03, 8, max_workers=4) == expected
+                code = 0 if same and len([t for t in threading.enumerate() if t.name == "blend-grid"]) == 3 else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_interrupt_in_calling_thread_stops_claims(self):
+        caller = threading.current_thread()
+        helper_started, release = threading.Event(), threading.Event()
+        calls = []
+
+        def fn(t):
+            calls.append(round(t / 0.1))
+            if threading.current_thread() is caller:
+                helper_started.wait(5)
+                raise KeyboardInterrupt
+            helper_started.set()
+            release.wait(5)
+            return t
+
+        oracle = FunctionOracle(fn, parallel_safe=True)
+        with pytest.raises(KeyboardInterrupt):
+            blend_partial_sums(oracle, 0.0, 0.1, 8, max_workers=2)
+        assert oracle.eval_count == 2
+        # The helper finishes its slot, then claims no other.
+        release.set()
+        time.sleep(0.05)
+        assert oracle.eval_count == 2 and sorted(calls) == [0, 1]
 
     @pytest.mark.parametrize("workers", [0, 4])
     def test_batched_oracle_takes_the_grid_in_one_call(self, workers):
