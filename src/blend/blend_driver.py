@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .oracle import FunctionOracle
-from .series_core import ORDER_CAP, PartialSumTrace, blend_partial_sums
+from .series_core import ORDER_CAP, PartialSumTrace, _grid_points, blend_partial_sums
 
 _NORM_TOL = 1e-12
 
@@ -77,14 +77,18 @@ def round_to_digits(x: float, digits: int) -> float:
 
     with E = floor(log10|x|).  The ulp term matters only at 15 digits and up,
     where the decimal spacing nears the binary one.  Rounding a result again
-    returns it unchanged.
+    returns it unchanged.  A decimal beyond the largest double has no nearest
+    double, so x is then returned as it is, which keeps the bound.
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     if x == 0.0 or not math.isfinite(x):
         return x
     exponent = math.floor(math.log10(abs(x)))
-    return round(x, digits - 1 - exponent)
+    try:
+        return round(x, digits - 1 - exponent)
+    except OverflowError:
+        return x
 
 
 def _is_int(x) -> bool:
@@ -141,7 +145,7 @@ class BlendReport:
 
 def _collapsed(theta, h: float, n_max: int) -> bool:
     """Whether two of the grid points theta + k*h, k = 0..n_max, round alike."""
-    return len({theta + k * h for k in range(n_max + 1)}) <= n_max
+    return len(set(_grid_points(theta, h, n_max))) <= n_max
 
 
 def run_blend(
@@ -163,7 +167,11 @@ def run_blend(
     zero stops at the last positive step and is reported as not stabilized.
     So does a run whose grid collapses: when two of its points theta + k*h
     round to the same number, the attempt scores 0 digits and the run stops,
-    since a smaller step only collapses the grid further.
+    since a smaller step only collapses the grid further.  An oracle that
+    raises ends the run with the grid's :class:`OracleEvaluationError`, which
+    names the lowest failing slot; the failing attempt stops at its first
+    failing slot, as :func:`blend_partial_sums` describes, so it spends fewer
+    than n_max + 1 evaluations.
     """
     start_count = oracle.eval_count
     for attempt in range(config.max_h_refinements + 1):

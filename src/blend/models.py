@@ -105,7 +105,10 @@ def quadratic_form(coefficients: Sequence[float]) -> AnalyticTestFunction:
         return math.fsum(a * p * p for a, p in zip(coeffs, point))
 
     def directional(point: Sequence[float], direction: Sequence[float]) -> float:
-        return math.fsum(2.0 * a * p * v for a, p, v in zip(coeffs, point, direction))
+        try:
+            return math.fsum(2.0 * a * p * v for a, p, v in zip(coeffs, point, direction))
+        except (ValueError, OverflowError):  # inf - inf among the terms, or a sum past the float range
+            return math.nan
 
     return AnalyticTestFunction(
         name=f"quadratic_form(m={len(coeffs)})",

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .blend_driver import BlendConfig, DirectionSpec, directional_oracle, run_blend
 from .models import CATALOG, TandemQueueModel, quadratic_form, queue_sensitivity_oracle
 from .oracle import FunctionOracle
+from .series_core import _grid_points
 # Unused here; kept importable under this name for perfbench/spans.py, which wraps it.
 from .series_core import blend_partial_sums  # noqa: F401
 
@@ -186,8 +187,7 @@ def _experiment(number: int) -> tuple[FunctionOracle, float, float]:
         # The run's grid and both sides of the central difference as one
         # stack, which the oracle keeps: the run is then served without a
         # solve, and each member has the bits of its own solve.
-        grid = [lam + k * QUEUE_H for k in range(N_MAX + 1)]
-        lo, hi = oracle.evaluate_many([*grid, lam - step, lam + step])[-2:]
+        lo, hi = oracle.evaluate_many([*_grid_points(lam, QUEUE_H, N_MAX), lam - step, lam + step])[-2:]
         return oracle, lam, (hi - lo) / (2.0 * step)
     raise ValueError(f"no reference table {number}")
 

@@ -236,8 +236,12 @@ def delta_from_cache(weights: StencilWeights, cached_values: Sequence, h: float)
     return -_reduce(values, (n,), lambda _: _fixed_point(map(float, weights.weights)), lambda _: weights.exact)[0] / h
 
 
-def _evaluate_at(oracle: FunctionOracle, theta, h: float, k: int):
-    point = theta + k * h
+def _grid_points(theta, h: float, n_max: int) -> list:
+    """The points theta + k*h, k = 0..n_max, of a grid, slot k at index k."""
+    return [theta + k * h for k in range(n_max + 1)]
+
+
+def _evaluate_at(oracle: FunctionOracle, point, k: int):
     try:
         return oracle.evaluate(point)
     except Exception as exc:
@@ -266,54 +270,39 @@ def _env_workers() -> int:
     raise ValueError(f"BLEND_THREADS must be an integer >= 0, got {raw!r}")
 
 
-def _resolve_workers(max_workers: int | None) -> int:
-    if max_workers is None:
-        return _env_workers()
-    if max_workers < 0:
-        raise ValueError(f"max_workers must be >= 0, got {max_workers}")
-    return max_workers
-
-
 def _evaluate_grid(oracle: FunctionOracle, theta, h: float, n_max: int, max_workers: int | None) -> list:
-    workers = _resolve_workers(max_workers)
-    ks = range(n_max + 1)
+    workers = _env_workers() if max_workers is None else max_workers
+    if workers < 0:
+        raise ValueError(f"max_workers must be >= 0, got {workers}")
+    points = _grid_points(theta, h, n_max)
     if oracle.batch is None:
-        return _evaluate_points(oracle, theta, h, ks, workers)
+        return _evaluate_points(oracle, points, workers)
     try:
-        return oracle.evaluate_many([theta + k * h for k in ks])
+        return oracle.evaluate_many(points)
     except Exception:
         # A batch raises where fn would, so the grid point by point names the
         # lowest failing slot.  If no slot fails, the batch itself is broken
         # and its own error stands.
-        _evaluate_points(oracle, theta, h, ks, workers)
+        _evaluate_points(oracle, points, workers)
         raise
 
 
-def _evaluate_points(oracle: FunctionOracle, theta, h: float, ks: range, workers: int) -> list:
+def _evaluate_points(oracle: FunctionOracle, points: list, workers: int) -> list:
     if not oracle.parallel_safe or workers <= 1:
         # Strictly sequential in increasing k for oracles that demand it.
-        return [_evaluate_at(oracle, theta, h, k) for k in ks]
-    # The calling thread claims slots side by side with up to workers - 1
-    # helpers, then waits only for helpers still evaluating one of its slots,
-    # never for a ticket no helper has taken: so a grid evaluated inside an
-    # oracle, or in a forked child, cannot deadlock.  Every slot is
-    # evaluated before the lowest failing one is raised; an interrupt of the
-    # calling thread propagates at once, and no slot is claimed after it.
-    grid = _Grid(oracle, theta, h, ks)
-    _post(grid, min(workers, len(ks)) - 1)
+        return [_evaluate_at(oracle, point, k) for k, point in enumerate(points)]
+    # The calling thread runs the grid beside up to workers - 1 helpers, then
+    # waits only for slots already claimed, never for a ticket no helper has
+    # taken: so a grid evaluated inside an oracle, or in a forked child,
+    # cannot deadlock.  An interrupt of the calling thread propagates at
+    # once, and no slot is claimed after it.
+    grid = _Grid(oracle, points)
+    _post(grid, min(workers, grid.size) - 1)
     try:
-        while (i := grid.claim(helper=False)) < grid.size:
-            try:
-                grid.values[i] = _evaluate_at(oracle, theta, h, ks[i])
-            except Exception as exc:
-                grid.errors[i] = exc
-        with grid.lock:
-            busy = grid.busy
-        if busy:
-            grid.idle.acquire()
+        grid.run(Exception)
+        grid.idle.acquire()
     except BaseException:
-        with grid.lock:
-            grid.next = grid.size
+        grid.close()
         raise
     if grid.errors:
         raise grid.errors[min(grid.errors)]
@@ -323,13 +312,16 @@ def _evaluate_points(oracle: FunctionOracle, theta, h: float, ks: range, workers
 class _Grid:
     """The slots of one parallel grid, claimed in increasing order under ``lock``.
 
-    ``busy`` counts the helpers evaluating a slot; ``idle`` is held until the
-    last of them leaves a grid whose slots are all claimed.
+    The first failing slot closes the grid, as an interrupt of the calling
+    thread does: no slot is claimed after it.  Every slot below it was
+    claimed before it, so it finishes, and the lowest failing slot of the
+    grid is among ``errors``.  ``busy`` counts the threads evaluating a slot;
+    ``idle`` is held until the last of them leaves a closed grid.
     """
 
-    def __init__(self, oracle: FunctionOracle, theta, h: float, ks: range):
-        self.oracle, self.theta, self.h, self.ks = oracle, theta, h, ks
-        self.size = len(ks)
+    def __init__(self, oracle: FunctionOracle, points: list):
+        self.oracle, self.points = oracle, points
+        self.size = len(points)
         self.values: list = [None] * self.size
         self.errors: dict[int, BaseException] = {}
         self.next = 0
@@ -338,22 +330,27 @@ class _Grid:
         self.idle = threading.Lock()
         self.idle.acquire()
 
-    def claim(self, helper: bool) -> int:
-        """The next unclaimed slot, or ``size`` when none is left."""
+    def claim(self) -> int:
+        """The next unclaimed slot, or ``size`` when the grid is closed."""
         with self.lock:
             i = self.next
             if i < self.size:
                 self.next = i + 1
-                self.busy += helper
+                self.busy += 1
             return i
 
-    def help(self) -> None:
-        # A helper's exception, of any kind, is its slot's outcome.
-        while (i := self.claim(helper=True)) < self.size:
+    def close(self) -> None:
+        with self.lock:
+            self.next = self.size
+
+    def run(self, catch: type[BaseException]) -> None:
+        """Evaluate slots until the grid is closed; an exception of type ``catch`` is its slot's outcome."""
+        while (i := self.claim()) < self.size:
             try:
-                self.values[i] = _evaluate_at(self.oracle, self.theta, self.h, self.ks[i])
-            except BaseException as exc:
+                self.values[i] = _evaluate_at(self.oracle, self.points[i], i)
+            except catch as exc:
                 self.errors[i] = exc
+                self.close()
             with self.lock:
                 self.busy -= 1
                 last = not self.busy and self.next == self.size
@@ -385,8 +382,9 @@ def _post(grid: _Grid, seats: int) -> None:
 
 
 def _help(tickets) -> None:
+    # A helper's exception, of any kind, is its slot's outcome.
     while True:
-        tickets.get().help()
+        tickets.get().run(BaseException)
 
 
 def _forget_helpers() -> None:
@@ -411,21 +409,26 @@ def blend_partial_sums(
 
     phi(theta + k*h) is evaluated exactly once per k.  An oracle with a
     ``batch`` receives the whole grid in one :meth:`FunctionOracle.evaluate_many`
-    call, and the worker budget does not apply to it.  Should the batch
-    raise, the grid is evaluated again point by point, as below, so that the
-    error names the lowest failing slot, or, when no slot fails, the batch's
-    own error is raised; a failed batch therefore costs up to 2*(n_max + 1)
-    evaluations on ``eval_count``.  Other oracles' evaluations run
-    concurrently when the oracle declares ``parallel_safe`` and the worker
-    budget (``max_workers``, defaulting to the BLEND_THREADS environment
-    variable) exceeds one: the calling thread evaluates slots side by side
-    with up to ``min(workers, n_max + 1) - 1`` helper threads.  The helpers
-    are daemon threads named ``blend-grid``, started by the first such grid
-    and kept for the life of the process, so no grid starts a thread of its
-    own.  Results are deposited into slot k and the reduction is always
-    performed serially in fixed index order, so serial, parallel and batched
-    runs produce bit-identical traces.  A parallel grid evaluates every slot
-    before it raises the lowest failing one.
+    call, and the worker budget does not apply to it.  Other oracles'
+    evaluations run concurrently when the oracle declares ``parallel_safe``
+    and the worker budget (``max_workers``, defaulting to the BLEND_THREADS
+    environment variable) exceeds one: the calling thread evaluates slots
+    side by side with up to ``min(workers, n_max + 1) - 1`` helper threads.
+    The helpers are daemon threads named ``blend-grid``, started by the first
+    such grid and kept for the life of the process, so no grid starts a
+    thread of its own.  Results are deposited into slot k and the reduction
+    is always performed serially in fixed index order, so serial, parallel
+    and batched runs produce bit-identical traces.
+
+    Slots are taken in increasing k, and the first failing slot ends the
+    grid: no slot is started after it, every slot below it is finished, and
+    the lowest failing slot is raised.  A grid whose slot j fails therefore
+    costs j + 1 evaluations serially, and at most j + workers in parallel,
+    where each other thread may have one later slot under way.  Should a
+    batch raise, the grid is evaluated again point by point, by the same
+    rule, so that the error names the lowest failing slot, or, when no slot
+    fails, the batch's own error is raised; the batch's n_max + 1 points
+    count on ``eval_count`` as well.
 
     Raises:
         OracleEvaluationError: an evaluation failed; the failing grid slot is

@@ -1,10 +1,17 @@
-"""Suite-wide guard: a test must not leave a non-daemon thread running."""
+"""Suite-wide settings: Hypothesis draws the same examples on every run, and a
+test must not leave a non-daemon thread running."""
 
 from __future__ import annotations
 
 import threading
 
 import pytest
+from hypothesis import settings
+
+# Each property test draws from a seed fixed by its name, and no example
+# database carries failures from one run into the next.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 #: Seconds a thread that a test started may take to finish after the test.
 GRACE_S = 2.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -79,6 +80,11 @@ class TestRounding:
         assert round_to_digits(-123.456, 2) == -120.0
         assert round_to_digits(0.0, 5) == 0.0
 
+    def test_decimal_beyond_the_largest_double_keeps_x(self):
+        # 1.7976931348623157e308 rounds to 1.7977e308 at 5 digits, past every double.
+        top = sys.float_info.max
+        assert round_to_digits(top, 5) == top
+        assert round_to_digits(-top, 1) == -top
 
     @given(
         x=st.floats(min_value=1e-200, max_value=1e200),

@@ -1,0 +1,126 @@
+"""The exit-code contract of ``blend.cli.main`` over argument vectors drawn from its option table.
+
+Every vector of ``diff``, ``direction``, ``plan`` and ``queue`` must exit 0,
+2, 64 or 70; an exit of 64 or 70 writes exactly one ``error:`` line and no
+output.  A vector gives the same output, messages and exit code under
+``BLEND_THREADS`` 0 (serial grids) and 4 (threaded grids).  Queue capacities
+stay at most 5 and refinements at most 8, so the test runs in a few seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from blend.cli import _COMMANDS, _IntRange, main
+
+#: Reals at the edges of the double range, ordinary reals and a non-number;
+#: one in four is drawn with a minus sign.
+FLOATS = ("0", "5e-324", "1e-300", "1e300", "1.7976931348623157e308", "inf", "nan", "0.5", "1", "2.5", "0.01", "abc")
+
+#: Catalog names, expressions that fail, overflow or vanish, and malformed ones.
+FUNCTIONS = (
+    "sin",
+    "quartic5",
+    "theta",
+    "theta^2*sin(theta)",
+    "exp(theta)",
+    "exp(exp(theta))",
+    "ln(theta)",
+    "1/theta",
+    "theta^-0.5",
+    "0^theta",
+    "1e308*theta^2",
+    "1e299*theta",
+    "cos(theta)/(theta-1)",
+    "e^theta - pi",
+    "sin(",
+    "theta +",
+    "foo(theta)",
+)
+
+#: Largest valid value drawn per integer option, where its range allows more.
+BUDGET = {"--cap1": 5, "--cap2": 5, "--refinements": 8, "--K": 20}
+
+#: Options whose value is a path; left out so that no file is written.
+PATHS = {"--out", "--stationary-csv"}
+
+floats = st.builds(lambda sign, text: sign + text, st.sampled_from(["", "", "", "-"]), st.sampled_from(FLOATS))
+
+
+def integers(flag: str, kind: _IntRange, refused: bool):
+    """Values of an integer option within its range and the budget, or values it refuses."""
+    if refused:
+        bad = [str(kind.low - 1), "x", "1.5", ""]
+        return st.sampled_from(bad + ([str(kind.high + 1), "1" + "0" * 30] if kind.high is not None else []))
+    return st.integers(kind.low, min(v for v in (kind.high, BUDGET.get(flag)) if v is not None)).map(str)
+
+
+@st.composite
+def command_lines(draw):
+    """A command and a shuffled subset of its options, most required ones included.
+
+    In about one vector in four, every integer and choice option is given a value
+    it refuses, and direction's lists may differ in length.
+    """
+    name = draw(st.sampled_from(["diff", "direction", "plan", "queue"]))
+    dim = draw(st.integers(1, 3))
+    refused = draw(st.integers(0, 3)) == 0
+    groups = []
+    for flag, keywords in _COMMANDS[name][1]:
+        if flag in PATHS:
+            continue
+        # Queue capacities are always given, since their default exceeds the budget.
+        always = name == "queue" and flag in ("--cap1", "--cap2")
+        required = keywords.get("required") or not flag.startswith("-")
+        if not always and draw(st.integers(0, 9)) >= (9 if required else 5):
+            continue
+        kind = keywords.get("type")
+        if keywords.get("action") == "store_true":
+            groups.append([flag])
+            continue
+        if not flag.startswith("-"):
+            values = st.sampled_from(FUNCTIONS)
+        elif isinstance(kind, _IntRange):
+            values = integers(flag, kind, refused)
+        elif "choices" in keywords:
+            values = st.just("bogus") if refused else st.sampled_from(keywords["choices"])
+        elif kind is float:
+            values = floats
+        else:  # direction's comma-separated lists, of the drawn dimension unless refused
+            size = st.sampled_from([dim, dim % 3 + 1]) if refused else st.just(dim)
+            values = size.flatmap(lambda n: st.lists(floats, min_size=n, max_size=n)).map(",".join)
+        value = draw(values)
+        groups.append([flag, value] if flag.startswith("-") else [value])
+    return [name, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+def run(argv: list[str], threads: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"BLEND_THREADS": threads}), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(argv=command_lines())
+# round_to_digits overflowed on a value whose rounded decimal exceeds the largest double.
+@example(argv=["direction", "--a", "1.7976931348623157e308", "--theta", "0.5", "--v", "-1", "--normalize", "--n-max", "40"])
+# The directional reference summed inf - inf in fsum.
+@example(
+    argv=["direction", "--a", "1.7976931348623157e308,0.01,40", "--theta", "1e-300,2.5,1.7976931348623157e308", "--v", "-1,0.01,1e-300", "--normalize"]
+)
+# The directional reference's finite terms summed past the float range in fsum.
+@example(argv=["direction", "--a", "8e307,8e307", "--theta", "1,1", "--v", "1,1", "--normalize"])
+@settings(max_examples=500, deadline=None)
+def test_exit_code_contract(argv):
+    code, out, err = run(argv, "0")
+    assert code in (0, 2, 64, 70), (code, err)
+    if code in (64, 70):
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert run(argv, "4") == (code, out, err)

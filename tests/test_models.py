@@ -51,6 +51,12 @@ class TestCatalogSelfConsistency:
         with pytest.raises(ValueError):
             quadratic_form(())
 
+    def test_quadratic_form_reference_that_fsum_cannot_sum_is_nan(self):
+        # Terms of inf and -inf, then finite terms whose sum exceeds the largest double.
+        fn = quadratic_form((1.7976931348623157e308, 0.01, 40.0))
+        assert math.isnan(fn.reference_derivative((1e-300, 2.5, 1.7976931348623157e308), (-1.0, 0.01, 1e-300)))
+        assert math.isnan(quadratic_form((8e307, 8e307)).reference_derivative((1.0, 1.0), (0.75, 0.75)))
+
 
 class TestClosedForm:
     def test_matches_operator_power_at_float_precision(self):
