@@ -93,6 +93,22 @@ def exp_density(x: float = 1.0) -> AnalyticTestFunction:
     )
 
 
+def _scaled_fsum(terms: list[float]) -> float:
+    """The sum of ``terms`` where ``math.fsum`` raises: NaN for inf - inf, else ±inf past the float range.
+
+    ``fsum`` refuses a partial sum past the float range even when the exact
+    sum is finite.  Scaled by 2**-k, with 2**k above the number of terms, no
+    partial sum can overflow; the scaling is exact on normal terms, so a
+    finite exact sum comes back correctly rounded and one past the range as
+    ±inf, as a single overflowing term gives.
+    """
+    scale = 2.0 ** len(terms).bit_length()
+    try:
+        return math.fsum(t / scale for t in terms) * scale
+    except ValueError:  # inf - inf
+        return math.nan
+
+
 def quadratic_form(coefficients: Sequence[float]) -> AnalyticTestFunction:
     """phi(theta) = sum_i a_i * theta_i**2 with gradient (2*a_i*theta_i)_i."""
     coeffs = tuple(float(a) for a in coefficients)
@@ -102,7 +118,10 @@ def quadratic_form(coefficients: Sequence[float]) -> AnalyticTestFunction:
     def evaluate(point: Sequence[float]) -> float:
         if len(point) != len(coeffs):
             raise ValueError(f"expected {len(coeffs)} components, got {len(point)}")
-        return math.fsum(a * p * p for a, p in zip(coeffs, point))
+        try:
+            return math.fsum(a * p * p for a, p in zip(coeffs, point))
+        except (ValueError, OverflowError):  # inf - inf among the terms, or a partial sum past the float range
+            return _scaled_fsum([a * p * p for a, p in zip(coeffs, point)])
 
     def directional(point: Sequence[float], direction: Sequence[float]) -> float:
         try:

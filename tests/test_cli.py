@@ -505,23 +505,47 @@ class TestParserContract:
         assert main(["diff", "sin"]) == 130
         assert capsys.readouterr().out == ""
 
+    #: A quick command line of each command.
+    QUICK = {
+        "diff": ["sin"],
+        "direction": ["--a", "1,2", "--theta", "1,1", "--v", "1,0"],
+        "plan": ["--M", "1", "--b", "1", "--N", "4", "--K", "6"],
+        "tables": ["1"],
+        "queue": ["--cap1", "2", "--cap2", "2"],
+    }
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_a_command_line_is_parsed_once_by_its_command(self, capsys, monkeypatch, name):
+        parse = cli._Parser.parse_known_args
+        parsers = []
+
+        def counted(self, *args, **kwargs):
+            parsers.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_known_args", counted)
+        assert main([name, *self.QUICK[name], "--format", "json"]) == 0
+        assert parsers == [f"blend {name}"]
+        assert json.loads(capsys.readouterr().out)["command"] == name
+
     def test_every_command_has_its_arguments_at_import(self):
         # A fresh tree has seen no parse, whatever the order the tests run in.
-        for parser in (cli._PARSER, cli._build_parser()):
+        for parser, commands in ((cli._PARSER, cli._COMMAND_PARSERS), cli._build_parser()):
             (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
             assert list(action.choices) == list(cli._COMMANDS)
+            assert commands is action.choices
             for name, command in action.choices.items():
                 flags = [a.option_strings or [a.dest] for a in command._actions]
                 assert flags == [[flag] for flag, _ in cli._COMMANDS[name][1]] + [["--help"]]
 
     def test_concurrent_first_parses_see_every_argument(self):
         args = cli._join_values(["queue", "--cap1", "3", "--mu2", "0.5", "--format", "json", "--stationary-csv", "pi.csv"])
-        expected = vars(cli._build_parser().parse_args(args))
+        expected = vars(cli._build_parser()[0].parse_args(args))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                parser = cli._build_parser()
+                parser = cli._build_parser()[0]
                 start = threading.Barrier(8)
 
                 def parse():
@@ -546,6 +570,12 @@ class TestEdgeInputs:
             (("direction", "--a", "1", "--theta", "1", "--v", "nan"), 64),
             (("direction", "--a", "1,1", "--theta", "1,1", "--v", "0,0", "--normalize"), 64),
             (("direction", "--a", "1e308", "--theta", "1e308", "--v", "1"), 2),
+            # The quadratic form's finite terms sum past the float range, where fsum raises: every value is inf.
+            (("direction", "--a", "1e308,1e308", "--theta", "1,1", "--v", "1,1", "--normalize"), 2),
+            # fsum's partial sums leave the float range, yet every exact sum is finite.
+            (("direction", "--a", "1e308,1.7e308,-1.7e308", "--theta", "0.5,1,1", "--v", "1,0,0"), 0),
+            # Terms of -inf and inf, which fsum refuses: every value is NaN.
+            (("direction", "--a", "-1e308,1e308", "--theta", "1e200,1e200", "--v", "1,1", "--normalize"), 2),
             # Products w_k * f_k beyond the float range, and values above 2**1023 / (2**27 + 1),
             # whose Veltkamp split overflows: the exact reduction keeps every partial sum finite.
             (("diff", "1e299*theta", "--theta", "1", "--n-max", "40"), 0),

@@ -1,10 +1,12 @@
 """The exit-code contract of ``blend.cli.main`` over argument vectors drawn from its option table.
 
-Every vector of ``diff``, ``direction``, ``plan`` and ``queue`` must exit 0,
-2, 64 or 70; an exit of 64 or 70 writes exactly one ``error:`` line and no
-output.  A vector gives the same output, messages and exit code under
-``BLEND_THREADS`` 0 (serial grids) and 4 (threaded grids).  Queue capacities
-stay at most 5 and refinements at most 8, so the test runs in a few seconds.
+Every vector of ``diff``, ``direction``, ``plan``, ``tables`` and ``queue``
+must exit 0, 2, 64 or 70; an exit of 64 or 70 writes exactly one ``error:``
+line and no output.  A vector gives the same output, messages and exit code
+under ``BLEND_THREADS`` 0 (serial grids) and 4 (threaded grids), and its
+command's own parser, which ``main`` runs, reads it as the whole tree does.
+Queue capacities stay at most 5 and refinements at most 8, so the test runs
+in a few seconds.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blend import cli
 from blend.cli import _COMMANDS, _IntRange, main
 
 #: Reals at the edges of the double range, ordinary reals and a non-number;
@@ -44,6 +47,9 @@ FUNCTIONS = (
     "foo(theta)",
 )
 
+#: Table numbers, those beyond 1-5, and WHICH values that are not table numbers.
+TABLE_NUMBERS = ("1", "2", "3", "4", "5", "all", "0", "6", "-1", "1.0", "ALL", "x", "")
+
 #: Largest valid value drawn per integer option, where its range allows more.
 BUDGET = {"--cap1": 5, "--cap2": 5, "--refinements": 8, "--K": 20}
 
@@ -68,7 +74,7 @@ def command_lines(draw):
     In about one vector in four, every integer and choice option is given a value
     it refuses, and direction's lists may differ in length.
     """
-    name = draw(st.sampled_from(["diff", "direction", "plan", "queue"]))
+    name = draw(st.sampled_from(list(_COMMANDS)))
     dim = draw(st.integers(1, 3))
     refused = draw(st.integers(0, 3)) == 0
     groups = []
@@ -85,7 +91,7 @@ def command_lines(draw):
             groups.append([flag])
             continue
         if not flag.startswith("-"):
-            values = st.sampled_from(FUNCTIONS)
+            values = st.sampled_from(TABLE_NUMBERS if name == "tables" else FUNCTIONS)
         elif isinstance(kind, _IntRange):
             values = integers(flag, kind, refused)
         elif "choices" in keywords:
@@ -107,6 +113,16 @@ def run(argv: list[str], threads: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def parse(parser: cli._Parser, tokens: list[str]) -> str:
+    """The options ``parser`` reads from ``tokens``, without the command name, or its usage message."""
+    try:
+        options = vars(parser.parse_args(tokens))
+    except cli._UsageError as exc:
+        return f"error: {exc}"
+    options.pop("command", None)
+    return repr(sorted(options.items()))  # repr, since a NaN value is not equal to itself
+
+
 @given(argv=command_lines())
 # round_to_digits overflowed on a value whose rounded decimal exceeds the largest double.
 @example(argv=["direction", "--a", "1.7976931348623157e308", "--theta", "0.5", "--v", "-1", "--normalize", "--n-max", "40"])
@@ -124,3 +140,5 @@ def test_exit_code_contract(argv):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert run(argv, "4") == (code, out, err)
+    tokens = cli._join_values(argv)
+    assert parse(cli._COMMAND_PARSERS[argv[0]], tokens[1:]) == parse(cli._PARSER, tokens)

@@ -57,6 +57,14 @@ class TestCatalogSelfConsistency:
         assert math.isnan(fn.reference_derivative((1e-300, 2.5, 1.7976931348623157e308), (-1.0, 0.01, 1e-300)))
         assert math.isnan(quadratic_form((8e307, 8e307)).reference_derivative((1.0, 1.0), (0.75, 0.75)))
 
+    def test_quadratic_form_sums_what_fsum_refuses(self):
+        # A sum past the float range is inf, a finite exact sum is correctly rounded, inf - inf is NaN.
+        assert quadratic_form((1e308, 1e308)).evaluate((1.0, 1.0)) == math.inf
+        assert quadratic_form((-1e308, -1e308)).evaluate((1.0, 1.0)) == -math.inf
+        assert quadratic_form((1e308, 1.7e308, -1.7e308)).evaluate((0.5, 1.0, 1.0)) == 2.5e307
+        assert quadratic_form((1e308,) * 5 + (-1e308,) * 4).evaluate((1.0,) * 9) == 1e308
+        assert math.isnan(quadratic_form((-1e308, 1e308)).evaluate((1e200, 1e200)))
+
 
 class TestClosedForm:
     def test_matches_operator_power_at_float_precision(self):
