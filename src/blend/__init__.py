@@ -22,7 +22,6 @@ from .bounds_planner import (
     GrowthEnvelope,
     StepPlan,
     h_domain,
-    operator_power_bound,
     remainder_bound,
     solve_k_exact_h,
 )
@@ -34,7 +33,6 @@ from .models import (
     TandemQueueModel,
     blocking_probability,
     exp_density,
-    exp_density_operator_power_closed_form,
     quadratic_form,
     queue_sensitivity_oracle,
     solve_stationary,
@@ -77,10 +75,8 @@ __all__ = [
     "delta_from_cache",
     "directional_oracle",
     "exp_density",
-    "exp_density_operator_power_closed_form",
     "h_domain",
     "operator_power",
-    "operator_power_bound",
     "quadratic_form",
     "queue_sensitivity_oracle",
     "remainder_bound",

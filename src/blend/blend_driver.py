@@ -5,9 +5,11 @@ significant digits the last two partial sums share, and accept those digits if
 the agreement is strong enough.  If not, shrink the step and try again.  The
 digit count L is a heuristic certificate: agreement of the last two partial
 sums indicates the geometric error decay has set in, so later orders should
-only touch digits beyond L.  It can be fooled (a step of 2*pi makes every
-partial sum of sin's stencil exactly zero), which is why reports always carry
-the full trace and certified error control lives in ``bounds_planner``.
+only touch digits beyond L.  It can be fooled: at a step of 2*pi the grid
+values of sin at 0 are rounding residues that grow linearly in k, so every
+partial sum is about -3.9e-17 and they agree to 15 digits.  That is why
+reports always carry the full trace and certified error control lives in
+``bounds_planner``.
 
 Also provides the directional adapter: the directional derivative of a
 multivariate function along a unit vector v is the scalar derivative at t=0 of
@@ -130,13 +132,12 @@ class BlendReport:
 
     When ``stabilized`` is true, ``value`` is the last partial sum rounded to
     the ``agreed_digits`` the rule certified; otherwise it is the raw last
-    partial sum of the final trace, kept for diagnostics.  ``h_used`` equals
-    h0 * H_SHRINK_FACTOR**refinements exactly.
+    partial sum of the final trace, kept for diagnostics.  The final step is
+    ``trace.h``, which equals h0 * H_SHRINK_FACTOR**refinements exactly.
     """
 
     value: float
     agreed_digits: int
-    h_used: float
     trace: PartialSumTrace
     refinements: int
     stabilized: bool
@@ -189,7 +190,6 @@ def run_blend(
     return BlendReport(
         value=round_to_digits(last, digits) if stabilized else last,
         agreed_digits=digits,
-        h_used=h,
         trace=trace,
         refinements=attempt,
         stabilized=stabilized,

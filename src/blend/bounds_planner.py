@@ -119,17 +119,6 @@ def remainder_bound(envelope: GrowthEnvelope, n: int, h: float, formula: str = "
     return math.exp(log_bound) if log_bound < _LOG_MAX else math.inf
 
 
-def operator_power_bound(envelope: GrowthEnvelope, n: int, h: float) -> float:
-    """Bound on |(J - T_h)^n phi(theta)|: M / sqrt(2*pi*n) * (2*h*b*e)**n."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"order must be an integer >= 1, got {n!r}")
-    h = float(h)
-    if not math.isfinite(h) or h < 0.0:
-        raise ValueError(f"step h must be a non-negative finite real, got {h!r}")
-    x = 2.0 * h * envelope.growth * math.e
-    return envelope.magnitude / math.sqrt(2.0 * math.pi * n) * x**n
-
-
 @dataclass(frozen=True)
 class StepPlan:
     """Result of the digit-exact step solve.

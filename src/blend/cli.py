@@ -180,7 +180,7 @@ def _emit_run(
             "value": report.value if math.isfinite(report.value) else None,
             "agreed_digits": report.agreed_digits,
             "stabilized": report.stabilized,
-            "h_used": report.h_used,
+            "h_used": report.trace.h,
             "refinements": report.refinements,
             "eval_count": report.eval_count,
         },
@@ -511,14 +511,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise _UsageError("missing command")
         parser = _COMMAND_PARSERS.get(args[0])
         try:
-            if parser is not None:
-                name, options = args[0], vars(parser.parse_args(_join_values(args)[1:]))
-            else:  # no command first: the whole tree reads --help or --version, or reports the line
-                options = vars(_PARSER.parse_args(args))
-                name = options.pop("command")
+            if parser is None:
+                # No command first: the whole tree writes --help or --version
+                # and exits, or raises its usage error; it returns no namespace.
+                _PARSER.parse_args(args)
+            options = vars(parser.parse_args(_join_values(args)[1:]))
         except SystemExit as exc:  # --help or --version has written its text
             return exc.code
-        function = _COMMANDS[name][0]
+        function = _COMMANDS[args[0]][0]
         _check_output(options.get("out_path"))
         _check_output(options.get("stationary_csv"))
         return function(**options)

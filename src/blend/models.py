@@ -49,17 +49,13 @@ class AnalyticTestFunction:
     envelope: GrowthEnvelope | None = None
 
 
-def _sin(theta: float) -> float:
-    return math.sin(theta)
-
-
 def _quartic5(theta: float) -> float:
     return 5.0 * theta**4
 
 
 SIN = AnalyticTestFunction(
     name="sin",
-    evaluate=_sin,
+    evaluate=math.sin,
     reference_derivative=math.cos,
     # |sin^(n)| <= 1 everywhere.
     envelope=GrowthEnvelope(magnitude=1.0, growth=1.0),
@@ -110,7 +106,10 @@ def _scaled_fsum(terms: list[float]) -> float:
 
 
 def quadratic_form(coefficients: Sequence[float]) -> AnalyticTestFunction:
-    """phi(theta) = sum_i a_i * theta_i**2 with gradient (2*a_i*theta_i)_i."""
+    """phi(theta) = sum_i a_i * theta_i**2 with gradient (2*a_i*theta_i)_i.
+
+    The directional reference is NaN where the derivative is not a finite double.
+    """
     coeffs = tuple(float(a) for a in coefficients)
     if not coeffs:
         raise ValueError("need at least one coefficient")
@@ -124,10 +123,13 @@ def quadratic_form(coefficients: Sequence[float]) -> AnalyticTestFunction:
             return _scaled_fsum([a * p * p for a, p in zip(coeffs, point)])
 
     def directional(point: Sequence[float], direction: Sequence[float]) -> float:
+        # Doubled after the sum, so a finite derivative near the top of the
+        # float range is not lost to 2.0 * a overflowing.
         try:
-            return math.fsum(2.0 * a * p * v for a, p, v in zip(coeffs, point, direction))
+            derivative = 2.0 * math.fsum(a * p * v for a, p, v in zip(coeffs, point, direction))
         except (ValueError, OverflowError):  # inf - inf among the terms, or a sum past the float range
             return math.nan
+        return derivative if math.isfinite(derivative) else math.nan
 
     return AnalyticTestFunction(
         name=f"quadratic_form(m={len(coeffs)})",
@@ -141,31 +143,6 @@ CATALOG: dict[str, AnalyticTestFunction] = {
     "sin": SIN,
     "quartic5": QUARTIC5,
 }
-
-
-def exp_density_operator_power_closed_form(theta: float, x: float, h: float, n: int) -> float:
-    """Closed form of (J - T_h)^n applied to theta * exp(-theta * x).
-
-    Splitting phi(theta + k*h) = theta*e^{-theta x} e^{-k h x} + k h e^{-theta
-    x} e^{-k h x} and using the binomial theorem collapses the alternating sum
-    to
-
-        theta e^{-theta x} (1 - e^{-h x})^n - n h e^{-(theta+h) x} (1 - e^{-h x})^{n-1}.
-
-    Summing -(1/(h n)) of this over all n >= 1 telescopes to the exact
-    derivative (1 - theta x) e^{-theta x}, which is what makes the family a
-    useful end-to-end oracle for the operator-power code.
-    """
-    if not (x > 0 and math.isfinite(x)):
-        raise ValueError(f"x must be a positive finite real, got {x!r}")
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError(f"h must be a positive finite real, got {h!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    q = -math.expm1(-h * x)  # 1 - exp(-h*x), accurate for small h*x
-    first = theta * math.exp(-theta * x) * q**n
-    second = n * h * math.exp(-(theta + h) * x) * q ** (n - 1)
-    return first - second
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +260,10 @@ class _GaussJordan:
     built here, once, so a pivot costs four slice assignments (factor column
     above and below the pivot row, pivot, unit column) and three numpy calls
     with positional outputs.  An instance belongs to one solve: concurrent
-    solves share no array.
+    solves share no array.  There are no row swaps: each block is the
+    negative of a nonsingular M-matrix, so every pivot is nonzero without
+    pivoting.  Rank-1 updates are elementwise numpy products, never BLAS, so
+    the inverse is bit-identical under any BLAS threading.
     """
 
     def __init__(self, block: np.ndarray):
@@ -337,22 +317,6 @@ class _GaussJordan:
             k = lost.any(axis=1).argmax()
             raise SingularGeneratorError(f"pivot {k} ({pivots[k, lost[k].argmax()].item()!r}) is singular to working precision")
         return a
-
-
-def _level_inverse(s: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of censored level blocks, shape (n, n, B), by Gauss-Jordan.
-
-    The batch is the last axis: each slice assignment and numpy call does
-    one step for every member.  There are no row swaps: each block is the
-    negative of a nonsingular M-matrix, so every pivot is nonzero without
-    pivoting; :meth:`_GaussJordan.invert` tests the pivots.  Rank-1 updates
-    are elementwise numpy products, never BLAS, so the result is
-    bit-identical under any BLAS threading.  numpy's floating-point warnings
-    are silenced inside this call.
-    """
-    import numpy as np
-    with np.errstate(all="ignore"):
-        return _GaussJordan(np.array(s, dtype=float)).invert()
 
 
 def _local_blocks(outflow: np.ndarray, mu2: float) -> np.ndarray:

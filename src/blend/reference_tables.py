@@ -34,7 +34,6 @@ QUEUE_H = 0.01
 
 @dataclass(frozen=True)
 class ReferenceTable:
-    number: int
     title: str
     published_rows: tuple[float, ...]
     published_true: float | None
@@ -46,7 +45,6 @@ class ReferenceTable:
 
 TABLES: dict[int, ReferenceTable] = {
     1: ReferenceTable(
-        number=1,
         title="sin at theta=0, small step",
         published_rows=(
             0.998334166468282,
@@ -68,7 +66,6 @@ TABLES: dict[int, ReferenceTable] = {
         ),
     ),
     2: ReferenceTable(
-        number=2,
         title="sin at theta=0, large step (outside the certified domain)",
         published_rows=(
             0.841470984807897,
@@ -90,7 +87,6 @@ TABLES: dict[int, ReferenceTable] = {
         ),
     ),
     3: ReferenceTable(
-        number=3,
         title="5*theta^4 at theta=2",
         published_rows=(
             160.1200400049834,
@@ -113,7 +109,6 @@ TABLES: dict[int, ReferenceTable] = {
         ),
     ),
     4: ReferenceTable(
-        number=4,
         title="directional derivative of a 9-dimensional quadratic",
         published_rows=(
             3.958029296875054,
@@ -138,7 +133,6 @@ TABLES: dict[int, ReferenceTable] = {
         ),
     ),
     5: ReferenceTable(
-        number=5,
         title="tandem-queue blocking-probability sensitivity at arrival rate 1",
         published_rows=(
             0.613180514116096,
@@ -216,7 +210,7 @@ def generate_table(number: int) -> dict:
             }
         )
     return {
-        "table": spec.number,
+        "table": number,
         "title": spec.title,
         "h": spec.regeneration_h,
         "published_h": spec.published_h,

@@ -35,7 +35,6 @@ from blend import (
     blocking_probability,
     directional_oracle,
     operator_power,
-    operator_power_bound,
     quadratic_form,
     queue_sensitivity_oracle,
     remainder_bound,
@@ -45,6 +44,7 @@ from blend import (
     solve_stationary,
     stencil_weights,
 )
+from lemma_references import exp_density_operator_power_closed_form, operator_power_bound
 
 TABLE_1_ROWS = (
     0.998334166468282,
@@ -270,8 +270,6 @@ def test_criterion_8_closed_form_equivalence():
                             assert abs(computed - closed) <= 1e-10 * abs(closed)
         # truncated full series at theta*x = 1 recovers the zero derivative
         theta, x, h = 1.0, 1.0, 0.05
-        from blend import exp_density_operator_power_closed_form
-
         total = -math.fsum(
             exp_density_operator_power_closed_form(theta, x, h, n) / n for n in range(1, 61)
         ) / h

@@ -153,7 +153,7 @@ class TestRunBlend:
         report = run_blend(oracle, 0.0, BlendConfig(h0=1.0))
         assert report.stabilized
         assert report.refinements >= 1
-        assert report.h_used == 1.0 * 0.5**report.refinements
+        assert report.trace.h == 1.0 * 0.5**report.refinements
         assert agreed_significant_digits(report.value, 1.0) >= report.agreed_digits - 1
 
     def test_false_stabilization_at_period_step(self):
@@ -180,7 +180,7 @@ class TestRunBlend:
         config = BlendConfig(h0=3.0, max_h_refinements=6)
         report = run_blend(oracle, 0.0, config)
         assert report.refinements > 0
-        assert report.h_used == 3.0 * 0.5**report.refinements
+        assert report.trace.h == 3.0 * 0.5**report.refinements
 
     def test_non_finite_deltas_trigger_refinement(self):
         calls = []
@@ -205,7 +205,7 @@ class TestRunBlend:
         report = run_blend(oracle, 0.0, config)
         assert not report.stabilized
         assert report.refinements < refinements
-        assert report.h_used == h0 * H_SHRINK_FACTOR**report.refinements > 0.0
+        assert report.trace.h == h0 * H_SHRINK_FACTOR**report.refinements > 0.0
         assert h0 * H_SHRINK_FACTOR ** (report.refinements + 1) == 0.0
         assert report.eval_count == oracle.eval_count == (report.refinements + 1) * (config.n_max + 1)
 
@@ -223,10 +223,10 @@ class TestRunBlend:
         report = run_blend(oracle, theta, config)
         assert not report.stabilized and report.agreed_digits == 0
         assert report.refinements == refinements
-        assert report.h_used == h0 * H_SHRINK_FACTOR**refinements
+        assert report.trace.h == h0 * H_SHRINK_FACTOR**refinements
         assert report.eval_count == oracle.eval_count == (refinements + 1) * (n_max + 1)
-        assert len({theta + k * report.h_used for k in range(n_max + 1)}) <= n_max
-        assert refinements == 0 or len({theta + k * 2 * report.h_used for k in range(n_max + 1)}) == n_max + 1
+        assert len({theta + k * report.trace.h for k in range(n_max + 1)}) <= n_max
+        assert refinements == 0 or len({theta + k * 2 * report.trace.h for k in range(n_max + 1)}) == n_max + 1
 
     def test_exhausted_refinements_reports_failure(self):
         oracle = FunctionOracle(lambda t: math.inf if t != 0.0 else 0.0)
@@ -333,7 +333,7 @@ class TestDirectional:
         via_direction = run_blend(restricted, theta0, config)
         assert via_direction.value == direct.value
         assert via_direction.agreed_digits == direct.agreed_digits
-        assert via_direction.h_used == direct.h_used
+        assert via_direction.trace.h == direct.trace.h
         assert via_direction.trace.deltas == direct.trace.deltas
         assert via_direction.trace.cached_values == direct.trace.cached_values
         assert via_direction.trace.theta == direct.trace.theta

@@ -17,11 +17,11 @@ from blend import (
     GrowthEnvelope,
     h_domain,
     operator_power,
-    operator_power_bound,
     remainder_bound,
     solve_k_exact_h,
 )
 from blend import bounds_planner
+from lemma_references import operator_power_bound
 
 
 class TestEnvelope:

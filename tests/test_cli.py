@@ -105,6 +105,12 @@ class TestDirection:
         assert abs(payload["report"]["value"] - 2.0) <= 1e-9
         assert payload["analytic_reference"] == 2.0
 
+    def test_reference_near_the_top_of_the_float_range(self):
+        # 2 * a overflows for a = 1e308; the derivative 2 * a * 0.5 does not.
+        payload = run_json("direction", "--a", "1e308", "--theta", "0.5", "--v", "1")
+        assert payload["analytic_reference"] == 1e308
+        assert abs(payload["report"]["value"] - 1e308) <= 1e-12 * 1e308
+
     def test_nine_dimensional_run(self):
         payload = run_json(
             "direction",

@@ -7,6 +7,15 @@ under ``BLEND_THREADS`` 0 (serial grids) and 4 (threaded grids), and its
 command's own parser, which ``main`` runs, reads it as the whole tree does.
 Queue capacities stay at most 5 and refinements at most 8, so the test runs
 in a few seconds.
+
+The same vectors, given an ``--out`` or ``--stationary-csv`` path of each
+shape (a new file, an existing file, a directory, a trailing separator, a
+missing directory, a path under a regular file), keep the contract for
+files: a refused path exits 64 with one ``error:`` line that names it and
+creates nothing; ``--out`` holds exactly what the command writes to stdout
+without it; and every file has the same bytes under both thread settings.
+Paths are drawn by shape, not by file mode, since a superuser's writes
+ignore modes.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import shutil
+import tempfile
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -53,8 +64,19 @@ TABLE_NUMBERS = ("1", "2", "3", "4", "5", "all", "0", "6", "-1", "1.0", "ALL", "
 #: Largest valid value drawn per integer option, where its range allows more.
 BUDGET = {"--cap1": 5, "--cap2": 5, "--refinements": 8, "--K": 20}
 
-#: Options whose value is a path; left out so that no file is written.
+#: Options whose value is a path; command_lines leaves them out, test_output_path_contract adds one.
 PATHS = {"--out", "--stationary-csv"}
+
+#: Output paths by shape, relative to a directory that holds existing.txt and sub/.
+SHAPES = {
+    "new": "new.txt",
+    "existing": "existing.txt",
+    "directory": "sub",
+    "trailing separator": "new.txt" + os.sep,
+    "missing directory": os.path.join("missing", "out.txt"),
+    "under a file": os.path.join("existing.txt", "out.txt"),
+}
+WRITABLE = {"new", "existing"}
 
 floats = st.builds(lambda sign, text: sign + text, st.sampled_from(["", "", "", "-"]), st.sampled_from(FLOATS))
 
@@ -68,13 +90,13 @@ def integers(flag: str, kind: _IntRange, refused: bool):
 
 
 @st.composite
-def command_lines(draw):
-    """A command and a shuffled subset of its options, most required ones included.
+def command_lines(draw, names=tuple(_COMMANDS)):
+    """One of ``names`` and a shuffled subset of its options, most required ones included.
 
     In about one vector in four, every integer and choice option is given a value
     it refuses, and direction's lists may differ in length.
     """
-    name = draw(st.sampled_from(list(_COMMANDS)))
+    name = draw(st.sampled_from(list(names)))
     dim = draw(st.integers(1, 3))
     refused = draw(st.integers(0, 3)) == 0
     groups = []
@@ -142,3 +164,62 @@ def test_exit_code_contract(argv):
     assert run(argv, "4") == (code, out, err)
     tokens = cli._join_values(argv)
     assert parse(cli._COMMAND_PARSERS[argv[0]], tokens[1:]) == parse(cli._PARSER, tokens)
+
+
+def layout(root: str) -> None:
+    """Empty ``root``, then give it the existing file and the directory that SHAPES name."""
+    shutil.rmtree(root)
+    os.mkdir(root)
+    with open(os.path.join(root, "existing.txt"), "w", encoding="utf-8") as handle:
+        handle.write("old\n")
+    os.mkdir(os.path.join(root, "sub"))
+
+
+def snapshot(root: str) -> dict[str, str | None]:
+    """Every directory (None) and file (its text) under ``root``, by path."""
+    found: dict[str, str | None] = {}
+    for directory, subdirectories, files in os.walk(root):
+        found.update((os.path.join(directory, name), None) for name in subdirectories)
+        for name in files:
+            with open(os.path.join(directory, name), encoding="utf-8", newline="") as handle:
+                found[os.path.join(directory, name)] = handle.read()
+    return found
+
+
+def parses(argv: list[str]) -> bool:
+    return not parse(cli._COMMAND_PARSERS[argv[0]], cli._join_values(argv)[1:]).startswith("error: ")
+
+
+@st.composite
+def path_lines(draw):
+    """A path option, a command line that takes it and that its parser reads, and a path shape."""
+    flag = draw(st.sampled_from(sorted(PATHS)))
+    argv = draw(command_lines(("queue",) if flag == "--stationary-csv" else tuple(_COMMANDS)).filter(parses))
+    return flag, argv, draw(st.sampled_from(sorted(SHAPES)))
+
+
+@given(case=path_lines())
+@settings(max_examples=200, deadline=None)
+def test_output_path_contract(case):
+    flag, argv, shape = case
+    plain = run(argv, "0")
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, SHAPES[shape])
+        runs = []
+        for threads in ("0", "4"):
+            layout(root)
+            before = snapshot(root)
+            runs.append((run([*argv, flag, path], threads), snapshot(root)))
+    assert runs[0] == runs[1]
+    (code, out, err), after = runs[0]
+    if shape not in WRITABLE:
+        assert code == 64 and out == "" and after == before
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
+    elif plain[0] not in (0, 2):  # the run fails, so nothing is written
+        assert (code, out, err) == plain and after == before
+    elif flag == "--out":
+        assert (code, out, err) == (plain[0], "", plain[2])
+        assert after == {**before, path: plain[1]}
+    else:
+        assert (code, out, err) == plain
+        assert after.keys() == before.keys() | {path} and after[path].startswith("n1,n2,prob\n")

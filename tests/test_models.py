@@ -11,10 +11,10 @@ from blend import (
     CATALOG,
     FunctionOracle,
     exp_density,
-    exp_density_operator_power_closed_form,
     operator_power,
     quadratic_form,
 )
+from lemma_references import exp_density_operator_power_closed_form
 
 
 class TestCatalogSelfConsistency:
@@ -56,6 +56,13 @@ class TestCatalogSelfConsistency:
         fn = quadratic_form((1.7976931348623157e308, 0.01, 40.0))
         assert math.isnan(fn.reference_derivative((1e-300, 2.5, 1.7976931348623157e308), (-1.0, 0.01, 1e-300)))
         assert math.isnan(quadratic_form((8e307, 8e307)).reference_derivative((1.0, 1.0), (0.75, 0.75)))
+
+    def test_quadratic_form_reference_near_the_top_of_the_float_range(self):
+        # 2 * a overflows while the derivative 2 * a * p * v is a finite double.
+        assert quadratic_form((1e308,)).reference_derivative((0.5,), (1.0,)) == 1e308
+        assert quadratic_form((1.7976931348623157e308,)).reference_derivative((0.25,), (-1.0,)) == -0.5 * 1.7976931348623157e308
+        # A derivative past the float range is NaN, as a sum fsum refuses is.
+        assert math.isnan(quadratic_form((1e308,)).reference_derivative((1.0,), (1.0,)))
 
     def test_quadratic_form_sums_what_fsum_refuses(self):
         # A sum past the float range is inf, a finite exact sum is correctly rounded, inf - inf is NaN.

@@ -36,10 +36,8 @@ def test_public_names_are_pinned():
         "delta_from_cache",
         "directional_oracle",
         "exp_density",
-        "exp_density_operator_power_closed_form",
         "h_domain",
         "operator_power",
-        "operator_power_bound",
         "quadratic_form",
         "queue_sensitivity_oracle",
         "remainder_bound",
@@ -49,11 +47,14 @@ def test_public_names_are_pinned():
         "solve_stationary",
         "stencil_weights",
     ]
-    assert len(blend.__all__) == 35
+    assert len(blend.__all__) == 33
     assert all(hasattr(blend, name) for name in blend.__all__)
     # The tests' dense reference left the namespace, not the package; the old dot left both.
     assert not hasattr(blend, "build_generator") and not hasattr(blend, "compensated_dot")
     assert callable(blend.models.build_generator) and not hasattr(blend.series_core, "compensated_dot")
+    # The lemma references live in tests/lemma_references.py.
+    assert not hasattr(blend.bounds_planner, "operator_power_bound")
+    assert not hasattr(blend.models, "exp_density_operator_power_closed_form")
 
 
 def test_import_leaves_numpy_unloaded():
@@ -126,3 +127,26 @@ def test_every_import_is_referenced():
                     if name not in referenced:
                         unused.add((path.stem, name))
     assert sorted(unused) == sorted(SPAN_ONLY_IMPORTS)
+
+
+def test_every_private_definition_is_referenced():
+    # A module-level _private function or class that no module of the package
+    # names, as a name or an attribute, is a leftover: only tests could call it.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(Path(blend.__file__).parent.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = [
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert unreferenced == []
