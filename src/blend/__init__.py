@@ -14,7 +14,6 @@ from .blend_driver import (
     DirectionSpec,
     agreed_significant_digits,
     directional_oracle,
-    round_to_digits,
     run_blend,
 )
 from .bounds_planner import (
@@ -80,7 +79,6 @@ __all__ = [
     "quadratic_form",
     "queue_sensitivity_oracle",
     "remainder_bound",
-    "round_to_digits",
     "run_blend",
     "solve_k_exact_h",
     "solve_stationary",

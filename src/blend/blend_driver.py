@@ -1,15 +1,17 @@
 """Stabilization-driven derivative estimation.
 
 Strategy: run the partial sums up to a fixed order, measure how many leading
-significant digits the last two partial sums share, and accept those digits if
-the agreement is strong enough.  If not, shrink the step and try again.  The
-digit count L is a heuristic certificate: agreement of the last two partial
-sums indicates the geometric error decay has set in, so later orders should
-only touch digits beyond L.  It can be fooled: at a step of 2*pi the grid
-values of sin at 0 are rounding residues that grow linearly in k, so every
-partial sum is about -3.9e-17 and they agree to 15 digits.  That is why
-reports always carry the full trace and certified error control lives in
-``bounds_planner``.
+significant digits the last two partial sums share, and accept the run if the
+agreement is strong enough.  If not, shrink the step and try again.  The
+report carries the last partial sum unrounded, with the shared digit count as
+its claim; digits past the claim are kept, since more terms of the series
+make more of them right.  The digit count L is a heuristic certificate:
+agreement of the last two partial sums indicates the geometric error decay
+has set in, so later orders should only touch digits beyond L.  It can be
+fooled: at a step of 2*pi the grid values of sin at 0 are rounding residues
+that grow linearly in k, so every partial sum is about -3.9e-17 and they
+agree to 15 digits.  That is why reports always carry the full trace and
+certified error control lives in ``bounds_planner``.
 
 Also provides the directional adapter: the directional derivative of a
 multivariate function along a unit vector v is the scalar derivative at t=0 of
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .oracle import FunctionOracle
-from .series_core import ORDER_CAP, PartialSumTrace, _grid_points, blend_partial_sums
+from .series_core import ORDER_CAP, PartialSumTrace, _grid_points, _is_int, _is_real, blend_partial_sums
 
 _NORM_TOL = 1e-12
 
@@ -68,35 +70,6 @@ def agreed_significant_digits(a: float, b: float) -> int:
     return 0
 
 
-def round_to_digits(x: float, digits: int) -> float:
-    """Round x to ``digits`` significant digits (round-half-even).
-
-    The result is the double nearest to the decimal that rounds x's exact
-    value correctly to ``digits`` significant digits.  That decimal is rarely
-    representable, so the guarantee is
-
-        |result - x| <= 0.5 * 10**(E - digits + 1) + 0.5 * ulp(result),
-
-    with E = floor(log10|x|).  The ulp term matters only at 15 digits and up,
-    where the decimal spacing nears the binary one.  Rounding a result again
-    returns it unchanged.  A decimal beyond the largest double has no nearest
-    double, so x is then returned as it is, which keeps the bound.
-    """
-    if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
-    if x == 0.0 or not math.isfinite(x):
-        return x
-    exponent = math.floor(math.log10(abs(x)))
-    try:
-        return round(x, digits - 1 - exponent)
-    except OverflowError:
-        return x
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class BlendConfig:
     """Driver configuration.
@@ -115,7 +88,7 @@ class BlendConfig:
     min_agree_digits: int = 2
 
     def __post_init__(self):
-        if not ((isinstance(self.h0, float) or _is_int(self.h0)) and math.isfinite(self.h0) and self.h0 > 0):
+        if not (_is_real(self.h0) and math.isfinite(self.h0) and self.h0 > 0):
             raise ValueError(f"h0 must be a positive finite real, got {self.h0!r}")
         object.__setattr__(self, "h0", float(self.h0))
         if not _is_int(self.n_max) or not 2 <= self.n_max <= ORDER_CAP:
@@ -130,18 +103,23 @@ class BlendConfig:
 class BlendReport:
     """Outcome of a stabilization run.
 
-    When ``stabilized`` is true, ``value`` is the last partial sum rounded to
-    the ``agreed_digits`` the rule certified; otherwise it is the raw last
-    partial sum of the final trace, kept for diagnostics.  The final step is
-    ``trace.h``, which equals h0 * H_SHRINK_FACTOR**refinements exactly.
+    ``value`` is the last partial sum of the final trace, unrounded, whether
+    or not the run stabilized.  When it did, ``agreed_digits`` is the claim
+    the rule makes for it: that many leading significant digits are settled.
+    The final step is ``trace.h``, which equals
+    h0 * H_SHRINK_FACTOR**refinements exactly.
     """
 
-    value: float
     agreed_digits: int
     trace: PartialSumTrace
     refinements: int
     stabilized: bool
     eval_count: int
+
+    @property
+    def value(self) -> float:
+        """Delta(n_max, trace.h), the last partial sum the run computed."""
+        return self.trace.deltas[-1]
 
 
 def _collapsed(theta, h: float, n_max: int) -> bool:
@@ -157,6 +135,10 @@ def run_blend(
     max_workers: int | None = None,
 ) -> BlendReport:
     """Run partial sums at h0, accepting when the last two stabilize.
+
+    The report's ``value`` is the last partial sum of the final attempt as
+    computed, and ``agreed_digits`` the number of leading digits it shares
+    with the one before.
 
     Each attempt performs exactly n_max + 1 fresh oracle evaluations; a run
     with r refinements therefore costs (r+1)*(n_max+1).  Attempt r steps by
@@ -188,7 +170,6 @@ def run_blend(
         if stabilized or collapsed or config.h0 * H_SHRINK_FACTOR ** (attempt + 1) == 0.0:
             break
     return BlendReport(
-        value=round_to_digits(last, digits) if stabilized else last,
         agreed_digits=digits,
         trace=trace,
         refinements=attempt,

@@ -36,6 +36,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .series_core import _check_step, _is_int, _is_real
+
 BOUND_FORMULAS = ("lemma2", "eq12")
 
 #: Fallback shrink applied to the domain edge when a step-size target is
@@ -45,11 +47,6 @@ DOMAIN_EDGE_SAFETY = 0.99
 _BISECTION_MAX_ITER = 200
 _RESIDUAL_RTOL = 1e-3
 _LOG_MAX = math.log(sys.float_info.max)
-
-
-def _is_real(x) -> bool:
-    # An int or a float, not a bool: the rule of BlendConfig.h0.
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -94,11 +91,9 @@ def remainder_bound(envelope: GrowthEnvelope, n: int, h: float, formula: str = "
     reproducing the classical worked example.  Returns ``math.inf`` outside
     the open domain h < 1/(2*b*e).  See the module docstring.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"order must be an integer >= 1, got {n!r}")
-    h = float(h)
-    if not math.isfinite(h) or h <= 0.0:
-        raise ValueError(f"step h must be a positive finite real, got {h!r}")
+    h = _check_step(h)
     _check_formula(formula)
     x = 2.0 * h * envelope.growth * math.e
     if x >= 1.0:
@@ -145,7 +140,7 @@ def solve_k_exact_h(
     strictly increasing in h on (0, 1/(2*b*e)), so plain bracketed bisection
     suffices; the root satisfies |bound(h*) - target| <= 1e-3 * target.
     """
-    if not isinstance(k_digits, int) or isinstance(k_digits, bool) or k_digits < 1:
+    if not _is_int(k_digits) or k_digits < 1:
         raise ValueError(f"k_digits must be an integer >= 1, got {k_digits!r}")
     _check_formula(formula)
     target = 10.0 ** (-(k_digits + 1))

@@ -13,9 +13,9 @@ value option takes the next token even when it starts with ``-``
 the token after it are joined as ``--opt=value``.  ``--opt=value`` works as
 well, the last of a repeated option wins, and a positional may come after
 the options.  A command line that starts with a command's name is parsed
-once, by that command's parser alone: about 20-50 us per command (Python
-3.11, 2 vCPUs), half of what the whole tree takes, whose subparser parses
-the same tokens a second time.  The whole tree reads only a line that names
+once, by that command's parser alone (about 20-50 us per command, Python
+3.11, 2 vCPUs); through the whole tree, a subparser would parse the same
+tokens a second time.  The whole tree reads only a line that names
 no command first (``--help``, ``--version``, an unknown command, an option
 before the command).  The import builds the whole tree, every command's
 arguments included, in about 1-2 ms, and nothing changes it afterwards.

@@ -25,8 +25,9 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .bounds_planner import GrowthEnvelope, _is_real
+from .bounds_planner import GrowthEnvelope
 from .oracle import FunctionOracle
+from .series_core import _is_int, _is_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,7 +79,7 @@ def exp_density(x: float = 1.0) -> AnalyticTestFunction:
     envelope valid around theta = 1: |phi^(n)(t)| = e^{-t} |t - n| <=
     (n + 2) / e <= 1.0 * 1.3**n for t in [1, 1 + n*h], h <= 0.1.
     """
-    if not (x > 0 and math.isfinite(x)):
+    if not (_is_real(x) and x > 0 and math.isfinite(x)):
         raise ValueError(f"x must be a positive finite real, got {x!r}")
     envelope = GrowthEnvelope(magnitude=1.0, growth=1.3) if x == 1.0 else None
     return AnalyticTestFunction(
@@ -193,7 +194,7 @@ class TandemQueueModel:
                 raise ValueError(f"{field} must be a positive finite real, got {v!r}")
         for field in ("cap1", "cap2"):
             v = getattr(self, field)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ValueError(f"{field} must be an integer >= 1, got {v!r}")
         object.__setattr__(self, "arrival_rate", float(self.arrival_rate))
         object.__setattr__(self, "mu1", float(self.mu1))

@@ -54,8 +54,18 @@ class OrderCapError(ValueError):
     """Requested truncation order exceeds the exact-weight cap."""
 
 
+def _is_int(x) -> bool:
+    # bool is an int subclass, but True is no count.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    # An int or a float, not a bool.
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _check_order(n: int, what: str = "order") -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise TypeError(f"{what} must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"{what} must be >= 1, got {n}")
@@ -65,10 +75,12 @@ def _check_order(n: int, what: str = "order") -> int:
 
 
 def _check_step(h: float) -> float:
-    h = float(h)
-    if not math.isfinite(h) or h <= 0.0:
+    # Any real type passes (exact rationals and multi-precision floats keep
+    # their exact rows), but not a bool or a string, though float() takes both.
+    f = math.nan if isinstance(h, (bool, str)) else float(h)
+    if not (math.isfinite(f) and f > 0.0):
         raise ValueError(f"step h must be a positive finite real, got {h!r}")
-    return h
+    return f
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,12 @@ from blend import (
     quadratic_form,
     queue_sensitivity_oracle,
     remainder_bound,
-    round_to_digits,
     run_blend,
     solve_k_exact_h,
     solve_stationary,
     stencil_weights,
 )
+from digit_rounding import round_to_digits
 from lemma_references import exp_density_operator_power_closed_form, operator_power_bound
 
 TABLE_1_ROWS = (

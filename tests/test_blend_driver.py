@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from blend import (
     BlendConfig,
+    BlendReport,
     DirectionSpec,
     FunctionOracle,
     agreed_significant_digits,
     directional_oracle,
     exp_density,
     quadratic_form,
-    round_to_digits,
     run_blend,
 )
 from blend.blend_driver import H_SHRINK_FACTOR, PRECISION_CAP
@@ -70,41 +70,6 @@ class TestAgreedDigits:
         if digits > 0:
             assert abs(a - b) <= 0.5 * 10.0 ** (exponent - digits + 1)
         assert agreed_significant_digits(b, a) == digits
-
-
-class TestRounding:
-    def test_round_to_digits(self):
-        assert round_to_digits(0.999999998963623, 9) == 0.999999999
-        assert round_to_digits(159.9999999999981, 10) == 160.0
-        assert round_to_digits(0.99999999951, 9) == 1.0  # carry across the leading digit
-        assert round_to_digits(-123.456, 2) == -120.0
-        assert round_to_digits(0.0, 5) == 0.0
-
-    def test_decimal_beyond_the_largest_double_keeps_x(self):
-        # 1.7976931348623157e308 rounds to 1.7977e308 at 5 digits, past every double.
-        top = sys.float_info.max
-        assert round_to_digits(top, 5) == top
-        assert round_to_digits(-top, 1) == -top
-
-    @given(
-        x=st.floats(min_value=1e-200, max_value=1e200),
-        sign=st.sampled_from([1.0, -1.0]),
-        digits=st.integers(1, 15),
-    )
-    @example(x=5.966622165309635e199, sign=1.0, digits=15)
-    @settings(max_examples=100, deadline=None)
-    def test_round_to_digits_properties(self, x, sign, digits):
-        # The correctly rounded decimal lies within half a unit in the last
-        # kept digit of x; the returned double lies within half an ulp of
-        # that decimal.  At 15 digits the second term is not negligible: in
-        # the example above the result lies 5.099e184 from x, past the first
-        # term's 5e184, and half its ulp is 4.2e183.
-        value = sign * x
-        rounded = round_to_digits(value, digits)
-        exponent = math.floor(math.log10(abs(value)))
-        bound = 0.5000001 * 10.0 ** (exponent - digits + 1) + 0.5 * math.ulp(rounded)
-        assert abs(rounded - value) <= bound
-        assert round_to_digits(rounded, digits) == rounded  # idempotent
 
 
 class TestConfig:
@@ -234,6 +199,28 @@ class TestRunBlend:
         assert not report.stabilized
         assert report.refinements == 3
         assert math.isnan(report.value)
+
+
+class TestReportValue:
+    def test_report_stores_the_value_once(self):
+        # value reads the trace; it is no field of its own.
+        assert [field.name for field in dataclasses.fields(BlendReport)] == ["agreed_digits", "trace", "refinements", "stabilized", "eval_count"]
+
+    @given(
+        name=st.sampled_from(["sin", "quartic5"]),
+        theta=st.floats(-3.0, 3.0),
+        h0=st.floats(1e-4, 2.0),
+        refinements=st.integers(0, 3),
+    )
+    @example(name="sin", theta=0.0, h0=1.0, refinements=0)  # oscillates: not stabilized
+    @example(name="quartic5", theta=2.0, h0=0.001, refinements=8)  # criterion 3's run
+    @settings(max_examples=60, deadline=None)
+    def test_value_is_the_last_partial_sum(self, name, theta, h0, refinements):
+        # Stabilized or not, nothing is rounded: the value is the final
+        # trace's last partial sum, bit for bit (NaN when that is NaN).
+        oracle = FunctionOracle(CATALOG[name].evaluate)
+        report = run_blend(oracle, theta, BlendConfig(h0=h0, max_h_refinements=refinements))
+        assert report.value.hex() == report.trace.deltas[-1].hex()
 
 
 class TestStabilizationSoundness:

@@ -146,7 +146,7 @@ def parse(parser: cli._Parser, tokens: list[str]) -> str:
 
 
 @given(argv=command_lines())
-# round_to_digits overflowed on a value whose rounded decimal exceeds the largest double.
+# A stabilized value that matches -1.7977e308 to its five agreed digits, a decimal past the float range.
 @example(argv=["direction", "--a", "1.7976931348623157e308", "--theta", "0.5", "--v", "-1", "--normalize", "--n-max", "40"])
 # The directional reference summed inf - inf in fsum.
 @example(

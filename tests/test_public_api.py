@@ -41,13 +41,12 @@ def test_public_names_are_pinned():
         "quadratic_form",
         "queue_sensitivity_oracle",
         "remainder_bound",
-        "round_to_digits",
         "run_blend",
         "solve_k_exact_h",
         "solve_stationary",
         "stencil_weights",
     ]
-    assert len(blend.__all__) == 33
+    assert len(blend.__all__) == 32
     assert all(hasattr(blend, name) for name in blend.__all__)
     # The tests' dense reference left the namespace, not the package; the old dot left both.
     assert not hasattr(blend, "build_generator") and not hasattr(blend, "compensated_dot")
@@ -55,6 +54,8 @@ def test_public_names_are_pinned():
     # The lemma references live in tests/lemma_references.py.
     assert not hasattr(blend.bounds_planner, "operator_power_bound")
     assert not hasattr(blend.models, "exp_density_operator_power_closed_form")
+    # So does the significant-digit rounding, in tests/digit_rounding.py: a report's value is unrounded.
+    assert not hasattr(blend.blend_driver, "round_to_digits")
 
 
 def test_import_leaves_numpy_unloaded():

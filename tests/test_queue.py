@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import subprocess
@@ -406,6 +407,22 @@ class TestSensitivityOracle:
         hi = blocking_probability(TandemQueueModel(1.0 + step, 1.0, 2.0, 10, 10))
         central = (hi - lo) / (2 * step)
         assert report.value == pytest.approx(central, abs=1e-6)
+
+    def test_default_run_has_ten_digits_against_the_derivative_solve(self):
+        # The default ``blend queue`` run against dB/dlambda from the balance
+        # equations differentiated in lambda: pi' Q = -pi Q' with sum(pi') = 0.
+        # Q is linear in lambda, so Q' is Q at lambda = 1 less Q at lambda = 0.
+        model = REFERENCE_MODEL
+        pi = _dense_solve(model)
+        dq = build_generator(model) - build_generator(TandemQueueModel(0.0, 1.0, 2.0, 10, 10))
+        system = build_generator(model).T.copy()
+        system[-1, :] = 1.0
+        rhs = -(dq.T @ pi)
+        rhs[-1] = 0.0
+        exact = np.linalg.solve(system, rhs)[model.state_index(model.cap1, 0) :].sum()
+        report = run_blend(queue_sensitivity_oracle(model), model.arrival_rate, BlendConfig(h0=0.01))
+        assert report.stabilized
+        assert -math.log10(abs(report.value - exact) / exact) >= 10
 
     def test_fast_station_two_matches_single_station_derivative(self):
         # M/M/1/K at load 1 has dB/dlambda = K / (2 (K + 1)) for unit service rate.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -23,7 +24,9 @@ from blend import (
     StencilWeights,
     blend_partial_sums,
     delta_from_cache,
+    exp_density,
     operator_power,
+    remainder_bound,
     solve_k_exact_h,
     stencil_weights,
 )
@@ -72,6 +75,26 @@ class TestStencilWeights:
         assert stencil_weights(1) is stencil_weights(1)
         with pytest.raises(TypeError):
             stencil_weights(True)
+
+
+class TestStepType:
+    # bool is an int subclass and float() parses a string, yet neither is a
+    # step (nor the parameter x of exp_density): each is refused up front.
+    @pytest.mark.parametrize("value", [True, "0.1"], ids=["bool", "str"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h: blend_partial_sums(FunctionOracle(math.sin), 0.0, h, 4),
+            lambda h: operator_power(FunctionOracle(math.sin), 0.0, h, 2),
+            lambda h: delta_from_cache(stencil_weights(4), [0.0] * 5, h),
+            lambda h: remainder_bound(GrowthEnvelope(1.0, 1.0), 4, h),
+            exp_density,
+        ],
+        ids=["blend_partial_sums", "operator_power", "delta_from_cache", "remainder_bound", "exp_density"],
+    )
+    def test_bool_and_str_are_refused(self, call, value):
+        with pytest.raises(ValueError, match=re.escape(f"must be a positive finite real, got {value!r}")):
+            call(value)
 
 
 class TestOperatorPower:
