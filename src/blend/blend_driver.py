@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .oracle import FunctionOracle
-from .series_core import ORDER_CAP, PartialSumTrace, _grid_points, _is_int, _is_real, blend_partial_sums
+from .series_core import ORDER_CAP, PartialSumTrace, _grid_points, _integer, _real, blend_partial_sums
 
 _NORM_TOL = 1e-12
 
@@ -88,15 +88,10 @@ class BlendConfig:
     min_agree_digits: int = 2
 
     def __post_init__(self):
-        if not (_is_real(self.h0) and math.isfinite(self.h0) and self.h0 > 0):
-            raise ValueError(f"h0 must be a positive finite real, got {self.h0!r}")
-        object.__setattr__(self, "h0", float(self.h0))
-        if not _is_int(self.n_max) or not 2 <= self.n_max <= ORDER_CAP:
-            raise ValueError(f"n_max must be an integer in [2, {ORDER_CAP}], got {self.n_max!r}")
-        if not _is_int(self.max_h_refinements) or self.max_h_refinements < 0:
-            raise ValueError(f"max_h_refinements must be an integer >= 0, got {self.max_h_refinements!r}")
-        if not _is_int(self.min_agree_digits) or not 1 <= self.min_agree_digits <= PRECISION_CAP:
-            raise ValueError(f"min_agree_digits must be an integer in [1, {PRECISION_CAP}], got {self.min_agree_digits!r}")
+        object.__setattr__(self, "h0", _real(self.h0, "h0"))
+        _integer(self.n_max, "n_max", 2, ORDER_CAP)
+        _integer(self.max_h_refinements, "max_h_refinements", 0)
+        _integer(self.min_agree_digits, "min_agree_digits", 1, PRECISION_CAP)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .series_core import _check_step, _is_int, _is_real
+from .series_core import _check_step, _integer, _real
 
 BOUND_FORMULAS = ("lemma2", "eq12")
 
@@ -63,11 +63,7 @@ class GrowthEnvelope:
 
     def __post_init__(self):
         for field in ("magnitude", "growth"):
-            v = getattr(self, field)
-            if not (_is_real(v) and math.isfinite(v) and v > 0):
-                raise ValueError(f"envelope {field} must be a positive finite real, got {v!r}")
-        object.__setattr__(self, "magnitude", float(self.magnitude))
-        object.__setattr__(self, "growth", float(self.growth))
+            object.__setattr__(self, field, _real(getattr(self, field), f"envelope {field}"))
         if math.isinf(2.0 * self.growth * math.e):
             raise ValueError(f"envelope growth {self.growth!r} is too large: 2*b*e overflows, so the step domain 1/(2*b*e) is empty")
 
@@ -91,8 +87,7 @@ def remainder_bound(envelope: GrowthEnvelope, n: int, h: float, formula: str = "
     reproducing the classical worked example.  Returns ``math.inf`` outside
     the open domain h < 1/(2*b*e).  See the module docstring.
     """
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"order must be an integer >= 1, got {n!r}")
+    _integer(n, "order", 1)
     h = _check_step(h)
     _check_formula(formula)
     x = 2.0 * h * envelope.growth * math.e
@@ -140,8 +135,7 @@ def solve_k_exact_h(
     strictly increasing in h on (0, 1/(2*b*e)), so plain bracketed bisection
     suffices; the root satisfies |bound(h*) - target| <= 1e-3 * target.
     """
-    if not _is_int(k_digits) or k_digits < 1:
-        raise ValueError(f"k_digits must be an integer >= 1, got {k_digits!r}")
+    _integer(k_digits, "k_digits", 1)
     _check_formula(formula)
     target = 10.0 ** (-(k_digits + 1))
     if target < sys.float_info.min:

@@ -535,7 +535,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def entry() -> None:  # console-script hook
-    sys.exit(main())

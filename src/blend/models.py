@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .bounds_planner import GrowthEnvelope
 from .oracle import FunctionOracle
-from .series_core import _is_int, _is_real
+from .series_core import _integer, _real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,8 +79,7 @@ def exp_density(x: float = 1.0) -> AnalyticTestFunction:
     envelope valid around theta = 1: |phi^(n)(t)| = e^{-t} |t - n| <=
     (n + 2) / e <= 1.0 * 1.3**n for t in [1, 1 + n*h], h <= 0.1.
     """
-    if not (_is_real(x) and x > 0 and math.isfinite(x)):
-        raise ValueError(f"x must be a positive finite real, got {x!r}")
+    x = _real(x, "x")
     envelope = GrowthEnvelope(magnitude=1.0, growth=1.3) if x == 1.0 else None
     return AnalyticTestFunction(
         name=f"exp_density(x={x:g})",
@@ -186,19 +185,11 @@ class TandemQueueModel:
     cap2: int
 
     def __post_init__(self):
-        if not (_is_real(self.arrival_rate) and self.arrival_rate >= 0 and math.isfinite(self.arrival_rate)):
-            raise ValueError(f"arrival_rate must be a finite real >= 0, got {self.arrival_rate!r}")
+        object.__setattr__(self, "arrival_rate", _real(self.arrival_rate, "arrival_rate", zero=True))
         for field in ("mu1", "mu2"):
-            v = getattr(self, field)
-            if not (_is_real(v) and v > 0 and math.isfinite(v)):
-                raise ValueError(f"{field} must be a positive finite real, got {v!r}")
+            object.__setattr__(self, field, _real(getattr(self, field), field))
         for field in ("cap1", "cap2"):
-            v = getattr(self, field)
-            if not _is_int(v) or v < 1:
-                raise ValueError(f"{field} must be an integer >= 1, got {v!r}")
-        object.__setattr__(self, "arrival_rate", float(self.arrival_rate))
-        object.__setattr__(self, "mu1", float(self.mu1))
-        object.__setattr__(self, "mu2", float(self.mu2))
+            _integer(getattr(self, field), field, 1)
 
     @property
     def state_count(self) -> int:
@@ -507,10 +498,7 @@ def _queue_oracle(base: TandemQueueModel) -> tuple[FunctionOracle, Callable[[Seq
                 f"stencil requested arrival rate {arrival_rate!r} <= 0; "
                 "reduce the step size relative to the base rate"
             )
-        # The type test of TandemQueueModel, with its message.
-        if not _is_real(arrival_rate):
-            raise ValueError(f"arrival_rate must be a finite real >= 0, got {arrival_rate!r}")
-        return float(arrival_rate)
+        return _real(arrival_rate, "arrival_rate", zero=True)
 
     def stationary(arrival_rates: Sequence[float]) -> Sequence[np.ndarray]:
         nonlocal latest

@@ -54,18 +54,30 @@ class OrderCapError(ValueError):
     """Requested truncation order exceeds the exact-weight cap."""
 
 
-def _is_int(x) -> bool:
-    # bool is an int subclass, but True is no count.
-    return isinstance(x, int) and not isinstance(x, bool)
+def _real(x, what: str, *, zero: bool = False) -> float:
+    """float(x) for an int or a float, not a bool, that is finite and > 0 (>= 0 with ``zero``)."""
+    # float() takes a bool or a string as well, and a concrete isinstance is
+    # cheaper than numbers.Real.
+    try:
+        f = float(x) if isinstance(x, (int, float)) and not isinstance(x, bool) else math.nan
+    except OverflowError:  # an int beyond the float range
+        f = math.nan
+    if not (0.0 < f < math.inf or zero and f == 0.0):
+        raise ValueError(f"{what} must be {'a finite real >= 0' if zero else 'a positive finite real'}, got {x!r}")
+    return f
 
 
-def _is_real(x) -> bool:
-    # An int or a float, not a bool.
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _integer(x, what: str, low: int, high: int | None = None) -> int:
+    """x, an int that is not a bool, when low <= x (<= high, if given)."""
+    if not (isinstance(x, int) and not isinstance(x, bool) and low <= x and (high is None or x <= high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{what} must be an integer {bounds}, got {x!r}")
+    return x
 
 
 def _check_order(n: int, what: str = "order") -> int:
-    if not _is_int(n):
+    # bool is an int subclass, but True is no count.
+    if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"{what} must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"{what} must be >= 1, got {n}")
@@ -283,9 +295,7 @@ def _env_workers() -> int:
 
 
 def _evaluate_grid(oracle: FunctionOracle, theta, h: float, n_max: int, max_workers: int | None) -> list:
-    workers = _env_workers() if max_workers is None else max_workers
-    if workers < 0:
-        raise ValueError(f"max_workers must be >= 0, got {workers}")
+    workers = _env_workers() if max_workers is None else _integer(max_workers, "max_workers", 0)
     points = _grid_points(theta, h, n_max)
     if oracle.batch is None:
         return _evaluate_points(oracle, points, workers)

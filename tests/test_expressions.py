@@ -29,6 +29,9 @@ class TestParsing:
             ("1e-3*theta", 2.0, 2e-3),
             (".5*theta", 4.0, 2.0),
             ("5*theta^4", 2.0, 80.0),
+            ("theta-1", 3.0, 2.0),
+            ("theta/4", 2.0, 0.5),
+            ("8/2/2", 0.0, 2.0),  # left-associative
         ],
     )
     def test_evaluation(self, text, theta, expected):

@@ -151,3 +151,17 @@ def test_every_private_definition_is_referenced():
         and node.name not in referenced
     ]
     assert unreferenced == []
+
+
+def test_argument_rules_are_written_once():
+    # The rules for a real or an integer argument, and their messages, live in
+    # series_core (_real and _integer); any other module calls them.
+    phrases = ("must be a positive finite real", "must be a finite real >= 0", "must be an integer")
+    copies = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(Path(blend.__file__).parent.glob("*.py"))
+        if path.name != "series_core.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and any(p in node.value for p in phrases)
+    ]
+    assert copies == []

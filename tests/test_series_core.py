@@ -5,23 +5,28 @@ from __future__ import annotations
 import math
 import os
 import re
+import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import blend
 from blend import (
     ORDER_CAP,
+    BlendConfig,
     FunctionOracle,
     GrowthEnvelope,
     OracleEvaluationError,
     OrderCapError,
     StencilWeights,
+    TandemQueueModel,
     blend_partial_sums,
     delta_from_cache,
     exp_density,
@@ -95,6 +100,25 @@ class TestStepType:
     def test_bool_and_str_are_refused(self, call, value):
         with pytest.raises(ValueError, match=re.escape(f"must be a positive finite real, got {value!r}")):
             call(value)
+
+
+class TestRealRule:
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["positive", "negative"])
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (BlendConfig, "h0 must be a positive finite real"),
+            (lambda v: GrowthEnvelope(v, 1.0), "envelope magnitude must be a positive finite real"),
+            (lambda v: TandemQueueModel(v, 1.0, 2.0, 3, 3), "arrival_rate must be a finite real >= 0"),
+            (exp_density, "x must be a positive finite real"),
+        ],
+        ids=["h0", "magnitude", "arrival_rate", "x"],
+    )
+    def test_an_int_beyond_the_float_range_is_refused(self, call, message, value):
+        # float() raises OverflowError on such an int; the rule refuses it as not finite.
+        with pytest.raises(ValueError) as error:
+            call(value)
+        assert str(error.value) == f"{message}, got {value!r}"
 
 
 class TestOperatorPower:
@@ -447,6 +471,33 @@ class TestParallelism:
         assert len(threads) == 9
         assert threading.current_thread() in threads
         assert all(t is threading.current_thread() or t.name == "blend-grid" for t in threads)
+
+    def test_worker_budget_is_an_integer_at_least_zero(self):
+        # Checked before any evaluation and before any helper starts, through
+        # both entry points; in a fresh process, since helpers persist.
+        env = dict(os.environ, PYTHONPATH=str(Path(blend.__file__).resolve().parents[1]))
+        code = (
+            "import math, threading\n"
+            "from blend import BlendConfig, FunctionOracle, blend_partial_sums, run_blend\n"
+            "for workers in (2.5, True, '3', -1):\n"
+            "    for run in (lambda o: blend_partial_sums(o, 0.3, 0.01, 8, max_workers=workers),\n"
+            "                lambda o: run_blend(o, 0.3, BlendConfig(0.01), max_workers=workers)):\n"
+            "        oracle = FunctionOracle(math.sin, parallel_safe=True)\n"
+            "        try:\n"
+            "            run(oracle)\n"
+            "        except Exception as exc:\n"
+            "            print(type(exc).__name__, exc, oracle.eval_count)\n"
+            "        else:\n"
+            "            print('ran', oracle.eval_count)\n"
+            "print(sum(t.name == 'blend-grid' for t in threading.enumerate()))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        expected = [
+            f"ValueError max_workers must be an integer >= 0, got {workers!r} 0"
+            for workers in (2.5, True, "3", -1)
+            for _ in range(2)
+        ]
+        assert proc.stdout.splitlines() == expected + ["0"]
 
     def test_helpers_persist_across_grids(self):
         oracle = FunctionOracle(math.sin, parallel_safe=True)
