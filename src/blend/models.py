@@ -163,6 +163,12 @@ class SingularGeneratorError(RuntimeError):
     """
 
 
+def _check_outflow(arrival_rate: float, mu1: float, mu2: float) -> None:
+    # Summed in the order of _outflow, which fills the generator diagonal.
+    if not math.isfinite(mu1 + mu2 + arrival_rate):
+        raise ValueError(f"total outflow arrival_rate + mu1 + mu2 must be finite, got {arrival_rate!r} + {mu1!r} + {mu2!r}")
+
+
 @dataclass(frozen=True)
 class TandemQueueModel:
     """Two-station tandem network with finite buffers.
@@ -171,7 +177,8 @@ class TandemQueueModel:
     station 1 (rate ``mu1``), then station 2 (rate ``mu2``); service times are
     exponential.  Each station holds at most ``cap_i`` jobs including the one
     in service.  An arrival finding station 1 full is lost; station 1's server
-    halts while station 2 is full.
+    halts while station 2 is full.  The total outflow arrival_rate + mu1 + mu2
+    must be finite, or a state's generator diagonal would be infinite.
 
     The state is (n1, n2) with 0 <= n_i <= cap_i, enumerated in lexicographic
     order; the chain is irreducible on the full rectangle whenever all rates
@@ -190,6 +197,7 @@ class TandemQueueModel:
             object.__setattr__(self, field, _real(getattr(self, field), field))
         for field in ("cap1", "cap2"):
             _integer(getattr(self, field), field, 1)
+        _check_outflow(self.arrival_rate, self.mu1, self.mu2)
 
     @property
     def state_count(self) -> int:
@@ -475,8 +483,9 @@ def queue_sensitivity_oracle(base: TandemQueueModel) -> FunctionOracle:
     (:func:`_solve_stack`), so the oracle is safe for concurrent evaluation.
     Every rate is checked before anything is served or solved: a rate <= 0
     is rejected, which a stencil can only request if the step is too large
-    relative to the base rate, and so is a rate that is not an int or a
-    float, with the message of :class:`TandemQueueModel`.
+    relative to the base rate, and so are a rate that is not an int or a
+    float and a rate whose total outflow with the base's service rates is
+    not finite, with the messages of :class:`TandemQueueModel`.
     """
     return _queue_oracle(base)[0]
 
@@ -498,7 +507,9 @@ def _queue_oracle(base: TandemQueueModel) -> tuple[FunctionOracle, Callable[[Seq
                 f"stencil requested arrival rate {arrival_rate!r} <= 0; "
                 "reduce the step size relative to the base rate"
             )
-        return _real(arrival_rate, "arrival_rate", zero=True)
+        rate = _real(arrival_rate, "arrival_rate", zero=True)
+        _check_outflow(rate, base.mu1, base.mu2)
+        return rate
 
     def stationary(arrival_rates: Sequence[float]) -> Sequence[np.ndarray]:
         nonlocal latest

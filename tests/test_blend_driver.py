@@ -15,10 +15,12 @@ from blend import (
     DirectionSpec,
     FunctionOracle,
     agreed_significant_digits,
+    blend_partial_sums,
     directional_oracle,
     exp_density,
     quadratic_form,
     run_blend,
+    stencil_weights,
 )
 from blend.blend_driver import H_SHRINK_FACTOR, PRECISION_CAP
 from blend.models import CATALOG
@@ -182,8 +184,10 @@ class TestRunBlend:
         # Once theta + k*h repeats a point, the attempt scores 0 digits and the
         # run stops there: at theta = 1 every point is 1 and Delta(1) = Delta(2) = 0
         # would agree bit for bit, and at pi/2 the 49th halving is the first
-        # whose nine points are not all distinct.
-        oracle = FunctionOracle(math.sin)
+        # whose nine points are not all distinct.  The oracle is infinite off
+        # theta, so no partial sum of a grid with distinct points is finite
+        # and the rounding floor cannot end the run first.
+        oracle = FunctionOracle(lambda t: 0.0 if t == theta else math.inf)
         config = BlendConfig(h0=h0, n_max=n_max, max_h_refinements=1100)
         report = run_blend(oracle, theta, config)
         assert not report.stabilized and report.agreed_digits == 0
@@ -193,12 +197,54 @@ class TestRunBlend:
         assert len({theta + k * report.trace.h for k in range(n_max + 1)}) <= n_max
         assert refinements == 0 or len({theta + k * 2 * report.trace.h for k in range(n_max + 1)}) == n_max + 1
 
+    @pytest.mark.parametrize(
+        "name, theta, h0, n_max, refinements, evals",
+        [
+            ("sin", math.pi / 2, 0.1, 8, 3, 36),  # zero derivative: no relative digit agrees
+            ("quartic5", 0.0, 0.1, 8, 0, 9),
+            ("sin", -1.5554499046616284, 1.4e-4, 40, 0, 41),  # rounding swamps Delta(39) and Delta(40)
+        ],
+    )
+    def test_rounding_floor_ends_unstabilized(self, name, theta, h0, n_max, refinements, evals):
+        # Once the last two partial sums differ by no more than twice the
+        # rounding floor, the run stops: a smaller step only raises the floor.
+        # Each of these runs used to spend its whole budget of 8 refinements.
+        oracle = FunctionOracle(CATALOG[name].evaluate)
+        report = run_blend(oracle, theta, BlendConfig(h0=h0, n_max=n_max))
+        assert not report.stabilized
+        assert (report.refinements, report.eval_count, oracle.eval_count) == (refinements, evals, evals)
+        assert report.trace.h == h0 * H_SHRINK_FACTOR**refinements
+        assert _gap_over_floor(report.trace) <= 2.0
+        if refinements:
+            wider = blend_partial_sums(FunctionOracle(CATALOG[name].evaluate), theta, 2 * report.trace.h, n_max)
+            assert _gap_over_floor(wider) > 2.0
+
+    def test_floor_beyond_the_float_range_refines(self):
+        # sum_k |w_k| * |f_k| passes the float range while every partial sum
+        # stays finite: the floor is NaN, meets no comparison, and the run
+        # refines through its budget.
+        oracle = FunctionOracle(lambda t: 1e308 * math.cos(t))
+        report = run_blend(oracle, 0.0, BlendConfig(h0=0.1))
+        assert all(map(math.isfinite, report.trace.deltas))
+        assert not report.stabilized
+        assert (report.refinements, report.eval_count) == (8, 81)
+
     def test_exhausted_refinements_reports_failure(self):
         oracle = FunctionOracle(lambda t: math.inf if t != 0.0 else 0.0)
         report = run_blend(oracle, 0.0, BlendConfig(h0=1.0, max_h_refinements=3))
         assert not report.stabilized
         assert report.refinements == 3
         assert math.isnan(report.value)
+
+
+def _gap_over_floor(trace) -> float:
+    """|Delta(N) - Delta(N-1)| over floor_N = u * sum_k |w_k| * (|f_k| + |Delta(N)| * |theta + k*h|) / h."""
+    n, h, last = len(trace.deltas), trace.h, trace.deltas[-1]
+    terms = (
+        abs(w) * (abs(f) + abs(last) * abs(trace.theta + k * h))
+        for k, (w, f) in enumerate(zip(stencil_weights(n).weights, trace.cached_values))
+    )
+    return abs(last - trace.deltas[-2]) / (2.0**-53 * math.fsum(terms) / h)
 
 
 class TestReportValue:

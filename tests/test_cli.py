@@ -605,6 +605,8 @@ class TestEdgeInputs:
             (("plan", "--M", "1", "--b", "1e308", "--N", "2", "--K", "5"), 64),
             # Every arrival rate 1 + k*1e-300 rounds to 1: the collapsed grid is not refined.
             (("queue", "--h0", "1e-300", "--refinements", "100"), 2),
+            # Each service rate is finite, but their sum, a state's outflow, is not.
+            (("queue", "--mu1", "1e308", "--mu2", "1e308"), 64),
         ],
     )
     def test_exits_with_documented_code(self, args, code):
@@ -634,15 +636,28 @@ class TestEdgeInputs:
         "args, refinements, evals",
         [
             # Every point 1 + k*1e-17 is 1: the order-1 and order-2 sums are both exactly 0.
-            (("--theta", "1", "--h0", "1e-17", "--n-max", "2"), 0, 3),
-            # The 49th halving is the first step whose nine points repeat one.
-            (("--theta", "1.5707963267948966", "--h0", "0.1", "--refinements", "1100"), 49, 450),
+            (("sin", "--theta", "1", "--h0", "1e-17", "--n-max", "2"), 0, 3),
+            # The 49th halving is the first step whose nine points repeat one.  The
+            # function is infinite off pi/2, so no partial sum before it is finite
+            # and the rounding floor cannot end the run first.
+            (
+                ("(1e300*(theta-1.5707963267948966))^2", "--theta", "1.5707963267948966", "--h0", "0.1", "--refinements", "1100"),
+                49,
+                450,
+            ),
         ],
     )
     def test_collapsed_grid_exits_2(self, args, refinements, evals):
-        report = run_json("diff", "sin", *args, expect_code=2)["report"]
+        report = run_json("diff", *args, expect_code=2)["report"]
         assert (report["stabilized"], report["agreed_digits"]) == (False, 0)
         assert (report["refinements"], report["eval_count"]) == (refinements, evals)
+
+    def test_rounding_floor_exits_2(self):
+        # The derivative of sin at pi/2 is 0, which no relative digit matches:
+        # the run stops at the third halving, where its last two partial sums
+        # lie within the rounding floor, instead of spending 81 evaluations.
+        report = run_json("diff", "sin", "--theta", "1.5707963267948966", "--h0", "0.1", expect_code=2)["report"]
+        assert (report["stabilized"], report["refinements"], report["eval_count"]) == (False, 3, 36)
 
     @pytest.mark.parametrize(
         "v, unit",

@@ -85,6 +85,14 @@ class TestModel:
             TandemQueueModel(**rates, cap1=3, cap2=3)
         assert TandemQueueModel(1, 1, 2, 3, 3) == TandemQueueModel(1.0, 1.0, 2.0, 3, 3)
 
+    @pytest.mark.parametrize("rates", [(1.0, 1e308, 1e308), (1.0, 9e307, 9e307), (1.7e308, 1e307, 1e307)])
+    def test_refuses_an_infinite_total_outflow(self, rates):
+        # Each rate is finite, but a state's outflow mu1 + mu2 + lambda is not.
+        message = "total outflow arrival_rate + mu1 + mu2 must be finite, got {!r} + {!r} + {!r}".format(*rates)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TandemQueueModel(*rates, 10, 10)
+        assert TandemQueueModel(1.0, 1e308, 1.0, 10, 10).mu1 == 1e308
+
     def test_state_enumeration(self):
         model = TandemQueueModel(1.0, 1.0, 1.0, 1, 2)
         assert model.state_count == 6
@@ -483,6 +491,16 @@ class TestSensitivityOracle:
         with pytest.raises(ValueError, match=message):
             oracle.evaluate_many([1.01, True])
         assert oracle.evaluate(1) == oracle.evaluate(1.0)
+
+    def test_refuses_a_rate_with_an_infinite_total_outflow(self):
+        # The base model's outflow is finite; the stencil's rate 1.7e308 is not.
+        oracle = queue_sensitivity_oracle(TandemQueueModel(1.0, 1e307, 1e307, 3, 3))
+        message = re.escape("total outflow arrival_rate + mu1 + mu2 must be finite, got 1.7e+308 + 1e+307 + 1e+307")
+        with pytest.raises(ValueError, match=message):
+            oracle.evaluate(1.7e308)
+        with pytest.raises(ValueError, match=message):
+            oracle.evaluate_many([1.0, 1.7e308])
+        assert oracle.eval_count == 3
 
     def test_batch_rejects_nonpositive_rate(self):
         oracle = queue_sensitivity_oracle(REFERENCE_MODEL)
