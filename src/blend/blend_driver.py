@@ -41,6 +41,7 @@ from .oracle import FunctionOracle
 from .series_core import (
     ORDER_CAP,
     PartialSumTrace,
+    _dot,
     _fixed_point,
     _grid_points,
     _integer,
@@ -160,7 +161,7 @@ def _rounding_floor(trace: PartialSumTrace) -> float:
     row = _fixed_point(magnitudes)
 
     def weighted(values) -> float:
-        return _reduce([abs(v) for v in values], (n,), lambda _: row, lambda _: magnitudes)[0]
+        return _reduce([abs(v) for v in values], (n,), _dot(row), lambda _: magnitudes)[0]
 
     values = _UNIT_ROUNDOFF * weighted(trace.cached_values)
     points = _UNIT_ROUNDOFF * weighted(_grid_points(trace.theta, trace.h, n))

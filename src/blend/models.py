@@ -482,7 +482,8 @@ def queue_sensitivity_oracle(base: TandemQueueModel) -> FunctionOracle:
     holds more than one stack.  A served row is the row a solve would give
     (:func:`_solve_stack`), so the oracle is safe for concurrent evaluation.
     Every rate is checked before anything is served or solved: a rate <= 0
-    is rejected, which a stencil can only request if the step is too large
+    and a float rate that is not finite are rejected, each with its own
+    message, since a stencil can only request them if the step is too large
     relative to the base rate, and so are a rate that is not an int or a
     float and a rate whose total outflow with the base's service rates is
     not finite, with the messages of :class:`TandemQueueModel`.
@@ -502,7 +503,12 @@ def _queue_oracle(base: TandemQueueModel) -> tuple[FunctionOracle, Callable[[Seq
     latest: dict[float, np.ndarray] = {}
 
     def checked(arrival_rate: float) -> float:
-        if not (arrival_rate > 0 and math.isfinite(arrival_rate)):
+        if isinstance(arrival_rate, float) and not math.isfinite(arrival_rate):
+            raise ValueError(
+                f"stencil requested arrival rate {arrival_rate!r}, which is not finite; "
+                "reduce the step size relative to the base rate"
+            )
+        if not arrival_rate > 0:
             raise ValueError(
                 f"stencil requested arrival rate {arrival_rate!r} <= 0; "
                 "reduce the step size relative to the base rate"

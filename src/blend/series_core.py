@@ -26,9 +26,15 @@ row (once per order).  Each product w_k * phi_k is then exact in integers, and
 each sum is rounded once, by a correctly rounded division; a sum beyond the
 float range gives NaN.  Grids of other numeric types (exact rationals,
 multi-precision floats) take the exact row in Neumaier order.  An order that
-reaches a non-finite float gives NaN.  A sweep over N = 1..N_max costs
-O(N_max^2) integer multiplications per attempt on top of the N_max + 1 oracle
-evaluations.
+reaches a non-finite float gives NaN.
+
+The partial sums of every order come from one sweep (Kronecker substitution):
+the stencil rows 1..N_max are packed column-wise, one big integer per grid
+slot with each order in its own slot of bits, so the N_max + 1 oracle
+evaluations are followed by N_max + 1 products of a grid integer by a packed
+column and N_max divisions, one per order.  The packed columns are cached for
+the last 32 pairs of top order and slot width.  A single order, as in
+:func:`delta_from_cache` and :func:`operator_power`, takes a plain dot product.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import math
 import operator
 import os
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -89,7 +96,10 @@ def _check_order(n: int, what: str = "order") -> int:
 def _check_step(h: float) -> float:
     # Any real type passes (exact rationals and multi-precision floats keep
     # their exact rows), but not a bool or a string, though float() takes both.
-    f = math.nan if isinstance(h, (bool, str)) else float(h)
+    try:
+        f = math.nan if isinstance(h, (bool, str)) else float(h)
+    except OverflowError:  # an int or a rational beyond the float range
+        f = math.nan
     if not (math.isfinite(f) and f > 0.0):
         raise ValueError(f"step h must be a positive finite real, got {h!r}")
     return f
@@ -148,13 +158,77 @@ def _fixed_row(n: int) -> tuple[tuple[int, ...], int]:
     return _fixed_point(_weight_row(n).weights)
 
 
-def _exact_dot(a: tuple[tuple[int, ...], int], b: tuple[tuple[int, ...], int]) -> float:
-    # sum_k a_k * b_k of two fixed-point vectors, up to the shorter one: exact
-    # in integers, then one correctly rounded int / int; NaN past the float range.
+def _quotient(num: int, den: int) -> float:
+    # One correctly rounded int / int; NaN past the float range.
     try:
-        return sum(map(operator.mul, a[0], b[0])) / (a[1] * b[1])
+        return num / den
     except OverflowError:
         return math.nan
+
+
+def _exact_dot(a: tuple[tuple[int, ...], int], b: tuple[tuple[int, ...], int]) -> float:
+    # sum_k a_k * b_k of two fixed-point vectors, up to the shorter one: exact
+    # in integers, then rounded once.
+    return _quotient(sum(map(operator.mul, a[0], b[0])), a[1] * b[1])
+
+
+def _dot(row: tuple[tuple[int, ...], int]):
+    """The ``fixed_sums`` of :func:`_reduce` for a single fixed-point row."""
+    return lambda grid, _: [_exact_dot(row, grid)]
+
+
+@lru_cache(maxsize=None)
+def _row_scales(top: int) -> tuple[int, tuple[int, ...]]:
+    """Bit length of max_n sum_k |r_nk|, and the denominators, of the fixed-point stencil rows n = 1..top."""
+    rows = [_fixed_row(n) for n in range(1, top + 1)]
+    return max(sum(map(abs, ints)) for ints, _ in rows).bit_length(), tuple([den for _, den in rows])
+
+
+# Packed columns are kept for 32 (top order, slot width) pairs at most.  An
+# entry holds about (top + 1) * top * width bytes: 31 KB for a sin grid at
+# order 40 (19-byte slots), 450 KB for the widest float grids (275 bytes).
+# One round of the benchmark's analytic workload uses 24-27 pairs.
+@lru_cache(maxsize=32)
+def _columns(top: int, width: int) -> tuple[tuple[int, ...], int]:
+    """Column k = 0..top of the fixed-point stencil rows 1..top, packed, and the bias.
+
+    Row n takes bytes (n - 1) * width onwards of each column, read
+    little-endian as a signed sum of slots.  The bias holds half a slot in
+    every slot, so that bias + sum_k g_k * column_k holds each row's sum
+    plus half a slot in the row's own slot, as long as every such sum, and
+    every r_nk, lies within half a slot.
+    """
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * top, "little")
+    rows = [_fixed_row(n)[0] for n in range(1, top + 1)]
+
+    def column(k: int) -> int:
+        slots = b"".join(((r[k] if k < len(r) else 0) + half).to_bytes(width, "little") for r in rows)
+        return int.from_bytes(slots, "little") - bias
+
+    return tuple(map(column, range(top + 1))), bias
+
+
+def _sweep(grid: tuple[tuple[int, ...], int], top: int) -> list[float]:
+    """sum_k r_nk * g_k / (den_n * den), for the fixed-point stencil rows n = 1..top, against a fixed-point grid.
+
+    Kronecker substitution: each grid integer g_k is multiplied once by
+    column k, and the products are summed, so every order's exact sum lands
+    in its own slot.  A slot is wide enough for any such sum: the bit length
+    of max_n sum_k |r_nk|, plus that of max_k |g_k|, plus 2, in whole bytes.
+    Each sum is read back and rounded once, by the division of
+    :func:`_exact_dot`, so the bits are those of one dot product per order.
+    """
+    ints, den = grid
+    bits, dens = _row_scales(top)
+    width = (bits + max(map(abs, ints)).bit_length() + 2 + 7) // 8
+    columns, bias = _columns(top, width)
+    packed = (sum(map(operator.mul, ints, columns)) + bias).to_bytes(top * width, "little")
+    half = 1 << (8 * width - 1)
+    return [
+        _quotient(int.from_bytes(packed[i : i + width], "little") - half, d * den)
+        for i, d in zip(range(0, top * width, width), dens)
+    ]
 
 
 def _neumaier(terms) -> object:
@@ -173,25 +247,24 @@ def _neumaier(terms) -> object:
     return total + comp
 
 
-def _reduce(values: Sequence, orders: Sequence[int], fixed_row, exact_row) -> list:
-    """sum_k row_k * values[k], k = 0..n, for each order n of ``orders``.
+def _reduce(values: Sequence, orders: Sequence[int], fixed_sums, exact_row) -> list:
+    """sum_k row_k * values[k], k = 0..n, for each order n of ``orders``, in increasing order.
 
     The grid is checked, and its floats converted to fixed point, once for
-    all orders.  An order whose slots all hold finite floats takes
-    ``fixed_row(n)``, a row in fixed point: its sum is exact in integers and
-    rounded once, NaN past the float range.  An order that reaches a
-    non-finite float gives NaN.  Other orders take ``exact_row(n)`` in
-    Neumaier order.
+    all orders.  The m orders whose slots all hold finite floats take
+    ``fixed_sums(grid, m)``, with the grid's float prefix in fixed point:
+    each sum is exact in integers and rounded once, NaN past the float
+    range.  An order that reaches a non-finite float gives NaN.  Other
+    orders take ``exact_row(n)`` in Neumaier order.
     """
     end = len(values)
     fixed = next((k for k, v in enumerate(values) if type(v) is not float or not math.isfinite(v)), end)
     finite = end if fixed == end else next((k for k, v in enumerate(values[fixed:], fixed) if type(v) is float and not math.isfinite(v)), end)
-    grid = _fixed_point(values[:fixed])
-    return [
-        _exact_dot(fixed_row(n), grid) if n < fixed
-        else math.nan if n >= finite
-        else _neumaier(map(operator.mul, exact_row(n), values))
-        for n in orders
+    m = bisect_left(orders, fixed)
+    sums = fixed_sums(_fixed_point(values[:fixed]), m) if m else []
+    return sums + [
+        math.nan if n >= finite else _neumaier(map(operator.mul, exact_row(n), values))
+        for n in orders[m:]
     ]
 
 
@@ -222,7 +295,7 @@ def operator_power(
     else:
         values = _evaluate_grid(oracle, theta, h, n, max_workers=None)
     row = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
-    return _reduce(values, (n,), lambda _: (row, 1), lambda _: row)[0]
+    return _reduce(values, (n,), _dot((row, 1)), lambda _: row)[0]
 
 
 @dataclass(frozen=True)
@@ -257,7 +330,9 @@ def delta_from_cache(weights: StencilWeights, cached_values: Sequence, h: float)
     if len(cached_values) < n + 1:
         raise ValueError(f"need {n + 1} cached values for order {n}, got {len(cached_values)}")
     values = cached_values[: n + 1]
-    return -_reduce(values, (n,), lambda _: _fixed_point(map(float, weights.weights)), lambda _: weights.exact)[0] / h
+    return -_reduce(
+        values, (n,), lambda grid, _: [_exact_dot(_fixed_point(map(float, weights.weights)), grid)], lambda _: weights.exact
+    )[0] / h
 
 
 def _grid_points(theta, h: float, n_max: int) -> list:
@@ -459,5 +534,5 @@ def blend_partial_sums(
     _check_order(n_max, "n_max")
     _check_step(h)
     values = _evaluate_grid(oracle, theta, h, n_max, max_workers)
-    sums = _reduce(values, range(1, n_max + 1), _fixed_row, lambda n: _weight_row(n).exact)
+    sums = _reduce(values, range(1, n_max + 1), _sweep, lambda n: _weight_row(n).exact)
     return PartialSumTrace(theta=theta, h=h, deltas=tuple([-s / h for s in sums]), cached_values=tuple(values))

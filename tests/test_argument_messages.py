@@ -59,15 +59,17 @@ def test_message(call, message, out_of_range, kind):
     [
         (True, "arrival_rate must be a finite real >= 0, got True"),
         (Fraction(1, 2), "arrival_rate must be a finite real >= 0, got Fraction(1, 2)"),
-        (math.nan, "stencil requested arrival rate nan <= 0; reduce the step size relative to the base rate"),
+        (math.nan, "stencil requested arrival rate nan, which is not finite; reduce the step size relative to the base rate"),
+        (math.inf, "stencil requested arrival rate inf, which is not finite; reduce the step size relative to the base rate"),
         (-1.0, "stencil requested arrival rate -1.0 <= 0; reduce the step size relative to the base rate"),
     ],
-    ids=["bool", "Fraction", "nan", "out_of_range"],
+    ids=["bool", "Fraction", "nan", "inf", "out_of_range"],
 )
 def test_queue_oracle_message(rate, message):
-    # The oracle refuses a rate <= 0 or not finite as a step too large, and
-    # a positive rate that is not an int or a float as the model does.  The
-    # grid hands it numbers, so a string is not in the table.
+    # The oracle refuses a rate <= 0, and one not finite, as a step too
+    # large, each with its own message, and a positive rate that is not an
+    # int or a float as the model does.  The grid hands it numbers, so a
+    # string is not in the table.
     with pytest.raises(ValueError) as error:
         queue_sensitivity_oracle(TandemQueueModel(1.0, 1.0, 2.0, 3, 3)).evaluate(rate)
     assert str(error.value) == message

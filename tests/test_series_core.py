@@ -84,8 +84,14 @@ class TestStencilWeights:
 
 class TestStepType:
     # bool is an int subclass and float() parses a string, yet neither is a
-    # step (nor the parameter x of exp_density): each is refused up front.
-    @pytest.mark.parametrize("value", [True, "0.1"], ids=["bool", "str"])
+    # step (nor the parameter x of exp_density): each is refused up front,
+    # and so is an int or a rational beyond the float range, on which
+    # float() raises OverflowError.
+    @pytest.mark.parametrize(
+        "value",
+        [True, "0.1", 10**400, -(10**400), Fraction(10**400)],
+        ids=["bool", "str", "int_beyond_range", "negative_int_beyond_range", "Fraction_beyond_range"],
+    )
     @pytest.mark.parametrize(
         "call",
         [
@@ -352,6 +358,8 @@ class TestExactReduction:
     @example(values=[0.1, 0.2, math.nan, 0.4, 0.5], h=0.1)
     @example(values=[k * k for k in range(ORDER_CAP + 1)], h=0.5)
     @example(values=[Fraction(k * k, 3) for k in range(7)], h=0.25)
+    @example(values=[5e-324 if k % 2 == 0 else 1.7e308 for k in range(ORDER_CAP + 1)], h=0.1)  # 2200-bit slots
+    @example(values=[math.nan if k == 30 else math.sin(0.1 * k) for k in range(ORDER_CAP + 1)], h=0.1)  # orders 1-29 swept
     @settings(max_examples=300, deadline=None)
     def test_matches_exact_reference(self, values, h):
         n_max = len(values) - 1
@@ -373,6 +381,26 @@ class TestExactReduction:
         powers = [_outcome(lambda n=n: [operator_power(oracle, 0.0, h, n, cache=values)]) for n in orders]
         assert powers == [_outcome(lambda n=n: [_reference_power(n, values)]) for n in orders]
         assert oracle.eval_count == 0
+
+    def test_column_cache_keeps_to_its_bound(self):
+        # The smallest value of each grid sets its common denominator, so each
+        # grid needs slots one byte wider than the last: 40 widths, more than
+        # the cache holds, swept twice in the same order, so that every entry
+        # is evicted before it is asked for again.
+        grids = [[2.0 ** (-8 * j)] + [1.0 + k / 7 for k in range(1, 13)] for j in range(7, 47)]
+        columns = blend.series_core._columns
+        columns.cache_clear()
+
+        def sweep(values):
+            slots = iter(values)
+            return blend_partial_sums(FunctionOracle(lambda t: next(slots)), 0.0, 0.1, len(values) - 1).deltas
+
+        first = [_outcome(lambda v=v: sweep(v)) for v in grids]
+        again = [_outcome(lambda v=v: sweep(v)) for v in grids]
+        info = columns.cache_info()
+        assert info.misses == 2 * len(grids) and info.hits == 0
+        assert info.currsize == info.maxsize < len(grids)
+        assert first == again == [_outcome(lambda v=v: [_reference_delta(n, v, 0.1) for n in range(1, 13)]) for v in grids]
 
     def test_custom_row_is_reduced_as_given(self):
         # delta_from_cache reduces the row it is handed, not the cached row of its order.
