@@ -4,20 +4,16 @@ Strategy: run the partial sums up to a fixed order, measure how many leading
 significant digits the last two partial sums share, and accept the run if the
 agreement is strong enough.  If not, shrink the step and try again, unless
 the two partial sums already differ by no more than twice their rounding
-floor (Stepleman & Winarsky, 1979)
-
-    floor_N = u * sum_k |w_k| * (|f_k| + |Delta(N)| * |theta + k*h|) / h,
-
-with u = 2**-53, w the order-N float row and f the grid values: the error
-that rounding of the values and of the points theta + k*h puts into
-Delta(N).  A smaller step only raises that floor, so such a run ends not
-stabilized, as an exhausted refinement budget does.  So a run whose
-derivative is zero, which never agrees in relative digits, and a run whose
-``min_agree_digits`` rounding leaves out of reach end at the first attempt
-that meets the floor, not after the whole budget.  The report carries the
-last partial sum unrounded, with the shared digit count as its claim; digits
-past the claim are kept, since more terms of the series make more of them
-right.  The digit count L is a heuristic certificate:
+floor (Stepleman & Winarsky, 1979): the error that rounding of the grid
+values and of the points theta + k*h puts into Delta(N), whose formula is
+given at ``series_core._rounding_floor``.  A smaller step only raises that
+floor, so such a run ends not stabilized, as an exhausted refinement budget
+does.  So a run whose derivative is zero, which never agrees in relative
+digits, and a run whose ``min_agree_digits`` rounding leaves out of reach
+end at the first attempt that meets the floor, not after the whole budget.
+The report carries the last partial sum unrounded, with the shared digit
+count as its claim; digits past the claim are kept, since more terms of the
+series make more of them right.  The digit count L is a heuristic certificate:
 agreement of the last two partial sums indicates the geometric error decay
 has set in, so later orders should only touch digits beyond L.  It can be
 fooled: at a step of 2*pi the grid values of sin at 0 are rounding residues
@@ -41,14 +37,11 @@ from .oracle import FunctionOracle
 from .series_core import (
     ORDER_CAP,
     PartialSumTrace,
-    _dot,
-    _fixed_point,
     _grid_points,
     _integer,
     _real,
-    _reduce,
+    _rounding_floor,
     blend_partial_sums,
-    stencil_weights,
 )
 
 _NORM_TOL = 1e-12
@@ -59,9 +52,6 @@ H_SHRINK_FACTOR = 0.5
 
 #: Most significant digits a double can be claimed to hold.
 PRECISION_CAP = 15
-
-#: Unit roundoff of a double, the scale of the rounding floor.
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 def agreed_significant_digits(a: float, b: float) -> int:
@@ -148,26 +138,6 @@ def _collapsed(theta, h: float, n_max: int) -> bool:
     return len(set(_grid_points(theta, h, n_max))) <= n_max
 
 
-def _rounding_floor(trace: PartialSumTrace) -> float:
-    """floor_N = u * sum_k |w_k| * (|f_k| + |Delta(N)| * |theta + k*h|) / h at the trace's last order N.
-
-    The rounding that the values f_k and the points theta + k*h carry moves
-    Delta(N) by about this much.  Both sums over k go through the exact grid
-    kernel and are scaled by u before |Delta(N)| multiplies in, so a sum
-    beyond the float range gives NaN, which meets no comparison.
-    """
-    n = len(trace.deltas)
-    magnitudes = [abs(w) for w in stencil_weights(n).weights]
-    row = _fixed_point(magnitudes)
-
-    def weighted(values) -> float:
-        return _reduce([abs(v) for v in values], (n,), _dot(row), lambda _: magnitudes)[0]
-
-    values = _UNIT_ROUNDOFF * weighted(trace.cached_values)
-    points = _UNIT_ROUNDOFF * weighted(_grid_points(trace.theta, trace.h, n))
-    return (values + points * abs(trace.deltas[-1])) / trace.h
-
-
 def run_blend(
     oracle: FunctionOracle,
     theta: float,
@@ -181,8 +151,13 @@ def run_blend(
     computed, and ``agreed_digits`` the number of leading digits it shares
     with the one before.
 
-    Each attempt performs exactly n_max + 1 fresh oracle evaluations; a run
-    with r refinements therefore costs (r+1)*(n_max+1).  Attempt r steps by
+    Each attempt performs exactly n_max + 1 fresh oracle evaluations, except
+    that an attempt whose top grid point theta + n_max*h overflows to +inf is
+    skipped, unless it is the last one the budget and the step allow: it
+    spends no evaluation and counts as a refinement, so a run at the edge of
+    the float range goes on to its first finite grid, and every report still
+    carries a trace.  A run with r refinements, s of them skipped, therefore
+    costs (r + 1 - s)*(n_max + 1).  Attempt r steps by
     h0 * H_SHRINK_FACTOR**r, with H_SHRINK_FACTOR = 0.5, and agreement counts
     at most PRECISION_CAP = 15 digits.  Values are not reused across
     refinements, although each halved grid repeats half of the previous one
@@ -194,9 +169,9 @@ def run_blend(
     since a smaller step only collapses the grid further.  A run also stops,
     not stabilized, after an attempt that did not stabilize although its last
     two partial sums are finite and differ by no more than twice the rounding
-    floor of the module docstring: a smaller step would only raise the
-    floor.  This stop spends no evaluations of its own, so the cost is still
-    (r+1)*(n_max+1), and an attempt that stabilizes never computes the floor.
+    floor of :func:`series_core._rounding_floor`: a smaller step would only
+    raise the floor.  This stop spends no evaluations of its own, and an
+    attempt that stabilizes never computes the floor.
     The floor's two sums over k are exact and rounded once; a sum beyond the
     float range makes it NaN, and the run refines.  An oracle that
     raises ends the run with the grid's :class:`OracleEvaluationError`, which
@@ -207,6 +182,11 @@ def run_blend(
     start_count = oracle.eval_count
     for attempt in range(config.max_h_refinements + 1):
         h = config.h0 * H_SHRINK_FACTOR**attempt
+        last_step = attempt == config.max_h_refinements or config.h0 * H_SHRINK_FACTOR ** (attempt + 1) == 0.0
+        # +inf is the one non-finite point a finite theta and a positive step
+        # can form; an mpf theta beyond the float range is no float and stays.
+        if theta + config.n_max * h == math.inf and not last_step:
+            continue
         trace = blend_partial_sums(oracle, theta, h, config.n_max, max_workers=max_workers)
         previous, last = trace.deltas[-2], trace.deltas[-1]
         collapsed = _collapsed(theta, h, config.n_max)
@@ -216,7 +196,7 @@ def run_blend(
         # A smaller step only raises the rounding floor, so a pair that differs
         # by no more than it cannot be settled by halving.
         at_floor = comparable and not stabilized and abs(last - previous) <= 2 * _rounding_floor(trace)
-        if stabilized or collapsed or at_floor or config.h0 * H_SHRINK_FACTOR ** (attempt + 1) == 0.0:
+        if stabilized or collapsed or at_floor or last_step:
             break
     return BlendReport(
         agreed_digits=digits,

@@ -18,8 +18,9 @@ caching and concurrent evaluation.  Weights are accumulated in exact rational
 arithmetic and converted to floating point once; the alternating binomials
 would otherwise cancel catastrophically.
 
-Every weighted sum over a grid (the partial sums, :func:`delta_from_cache`
-and :func:`operator_power`) goes through one kernel, which reads the grid once.
+Every weighted sum over a grid (the partial sums, :func:`delta_from_cache`,
+:func:`operator_power` and :func:`_rounding_floor`, the rounding floor at
+which ``run_blend`` stops) goes through one kernel, which reads the grid once.
 Every finite float is an integer over a power of two, so a float grid is
 written once as integers over one common denominator, and so is each float
 row (once per order).  Each product w_k * phi_k is then exact in integers, and
@@ -33,8 +34,10 @@ the stencil rows 1..N_max are packed column-wise, one big integer per grid
 slot with each order in its own slot of bits, so the N_max + 1 oracle
 evaluations are followed by N_max + 1 products of a grid integer by a packed
 column and N_max divisions, one per order.  The packed columns are cached for
-the last 32 pairs of top order and slot width.  A single order, as in
-:func:`delta_from_cache` and :func:`operator_power`, takes a plain dot product.
+the last 32 pairs of top order and slot width.  A single row, as in
+:func:`delta_from_cache`, :func:`operator_power` and :func:`_rounding_floor`,
+takes one dot product, :func:`_row_sum`; the floor's row is the cached float
+row with its signs dropped.
 """
 
 from __future__ import annotations
@@ -150,7 +153,8 @@ def _fixed_point(xs: Iterable[float]) -> tuple[tuple[int, ...], int]:
     # ints[k] / den exactly, since each denominator is a power of two.
     ratios = [x.as_integer_ratio() for x in xs]
     den = max([d for _, d in ratios], default=1)
-    return tuple([m * (den // d) for m, d in ratios]), den
+    bits = den.bit_length()
+    return tuple([m << (bits - d.bit_length()) for m, d in ratios]), den
 
 
 @lru_cache(maxsize=None)
@@ -164,17 +168,6 @@ def _quotient(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         return math.nan
-
-
-def _exact_dot(a: tuple[tuple[int, ...], int], b: tuple[tuple[int, ...], int]) -> float:
-    # sum_k a_k * b_k of two fixed-point vectors, up to the shorter one: exact
-    # in integers, then rounded once.
-    return _quotient(sum(map(operator.mul, a[0], b[0])), a[1] * b[1])
-
-
-def _dot(row: tuple[tuple[int, ...], int]):
-    """The ``fixed_sums`` of :func:`_reduce` for a single fixed-point row."""
-    return lambda grid, _: [_exact_dot(row, grid)]
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +210,7 @@ def _sweep(grid: tuple[tuple[int, ...], int], top: int) -> list[float]:
     in its own slot.  A slot is wide enough for any such sum: the bit length
     of max_n sum_k |r_nk|, plus that of max_k |g_k|, plus 2, in whole bytes.
     Each sum is read back and rounded once, by the division of
-    :func:`_exact_dot`, so the bits are those of one dot product per order.
+    :func:`_row_sum`, so the bits are those of one row sum per order.
     """
     ints, den = grid
     bits, dens = _row_scales(top)
@@ -268,6 +261,39 @@ def _reduce(values: Sequence, orders: Sequence[int], fixed_sums, exact_row) -> l
     ]
 
 
+def _row_sum(values: Sequence, row: tuple[tuple[int, ...], int], exact: Sequence) -> object:
+    """sum_k exact[k] * values[k], k = 0..n, over a grid of n + 1 values, by :func:`_reduce`.
+
+    ``row`` is ``exact`` in fixed point.  A grid of finite floats takes it:
+    the sum is exact in integers and rounded once, NaN past the float range.
+    Other grids take ``exact`` as it is.
+    """
+    ints, den = row
+    return _reduce(
+        values, (len(values) - 1,), lambda grid, _: [_quotient(sum(map(operator.mul, ints, grid[0])), den * grid[1])], lambda _: exact
+    )[0]
+
+
+def _rounding_floor(trace: PartialSumTrace) -> float:
+    """floor_N = u * sum_k |w_k| * (|f_k| + |Delta(N)| * |theta + k*h|) / h at the trace's last order N.
+
+    u = 2**-53 is the unit roundoff of a double, w the order-N float row and
+    f the cached grid values: the rounding that the values and the points
+    theta + k*h carry moves Delta(N) by about this much.  Both sums over k
+    are row sums, against the float magnitudes |w_k| (in fixed point, the
+    cached row with its signs dropped), and are scaled by u before
+    |Delta(N)| multiplies in, so a sum beyond the float range gives NaN,
+    which meets no comparison.
+    """
+    n = len(trace.deltas)
+    ints, den = _fixed_row(n)
+    row = (tuple(map(abs, ints)), den)
+    magnitudes = [abs(w) for w in _weight_row(n).weights]
+    values = 2.0**-53 * _row_sum([abs(v) for v in trace.cached_values], row, magnitudes)
+    points = 2.0**-53 * _row_sum([abs(x) for x in _grid_points(trace.theta, trace.h, n)], row, magnitudes)
+    return (values + points * abs(trace.deltas[-1])) / trace.h
+
+
 def operator_power(
     oracle: FunctionOracle,
     theta: float,
@@ -295,7 +321,7 @@ def operator_power(
     else:
         values = _evaluate_grid(oracle, theta, h, n, max_workers=None)
     row = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
-    return _reduce(values, (n,), _dot((row, 1)), lambda _: row)[0]
+    return _row_sum(values, (row, 1), row)
 
 
 @dataclass(frozen=True)
@@ -329,10 +355,7 @@ def delta_from_cache(weights: StencilWeights, cached_values: Sequence, h: float)
     n = weights.order_n
     if len(cached_values) < n + 1:
         raise ValueError(f"need {n + 1} cached values for order {n}, got {len(cached_values)}")
-    values = cached_values[: n + 1]
-    return -_reduce(
-        values, (n,), lambda grid, _: [_exact_dot(_fixed_point(map(float, weights.weights)), grid)], lambda _: weights.exact
-    )[0] / h
+    return -_row_sum(cached_values[: n + 1], _fixed_point(map(float, weights.weights)), weights.exact) / h
 
 
 def _grid_points(theta, h: float, n_max: int) -> list:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from blend import (
     BlendReport,
     DirectionSpec,
     FunctionOracle,
+    OracleEvaluationError,
     agreed_significant_digits,
     blend_partial_sums,
     directional_oracle,
@@ -228,6 +230,24 @@ class TestRunBlend:
         assert all(map(math.isfinite, report.trace.deltas))
         assert not report.stabilized
         assert (report.refinements, report.eval_count) == (8, 81)
+
+    def test_grid_beyond_the_float_range_is_skipped(self):
+        # theta + 8h overflows to +inf at h0 / 2**r for r = 0..3: those attempts
+        # spend no evaluation and count as refinements, and the run starts at
+        # the first finite grid, h0/16.
+        seen = []
+        oracle = FunctionOracle(lambda t: seen.append(t) or t)
+        report = run_blend(oracle, 1e308, BlendConfig(h0=1e308))
+        assert report.stabilized and report.agreed_digits == 13
+        assert (report.refinements, report.eval_count, len(seen)) == (4, 9, 9)
+        assert report.trace.h == 1e308 / 16 and max(seen) < math.inf
+        # The last attempt the budget allows runs, whatever its grid.
+        with pytest.raises(OracleEvaluationError, match=r"theta \+ 4\*h = inf"):
+            run_blend(FunctionOracle(math.sin), 1e308, BlendConfig(h0=1e308, max_h_refinements=2))
+        # An mpf theta beyond the float range forms no +inf point, so its first
+        # attempt runs (and, at 53 bits, its points collapse).
+        report = run_blend(FunctionOracle(lambda t: t), mp.mpf("1e400"), BlendConfig(h0=1.0, max_h_refinements=3))
+        assert (report.refinements, report.eval_count) == (0, 9)
 
     def test_exhausted_refinements_reports_failure(self):
         oracle = FunctionOracle(lambda t: math.inf if t != 0.0 else 0.0)

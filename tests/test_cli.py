@@ -659,6 +659,15 @@ class TestEdgeInputs:
         report = run_json("diff", "sin", "--theta", "1.5707963267948966", "--h0", "0.1", expect_code=2)["report"]
         assert (report["stabilized"], report["refinements"], report["eval_count"]) == (False, 3, 36)
 
+    @pytest.mark.parametrize("function, code, refinements, evals", [("sin", 2, 8, 45), ("theta", 0, 4, 9)])
+    def test_grid_beyond_the_float_range_is_skipped(self, function, code, refinements, evals):
+        # theta + 8h is +inf for the first four steps: they are skipped, with no
+        # evaluation, and the grid at h0/16 is the run's first.  Run at h0, sin
+        # would raise at sin(inf), and theta's repeated inf points would read
+        # as a collapsed grid.
+        report = run_json("diff", function, "--theta", "1e308", "--h0", "1e308", expect_code=code)["report"]
+        assert (report["refinements"], report["eval_count"]) == (refinements, evals)
+
     @pytest.mark.parametrize(
         "v, unit",
         [("3e-170,4e-170", [0.6, 0.8]), ("1e200,1e200", [0.7071067811865476] * 2)],

@@ -154,6 +154,9 @@ def parse(parser: cli._Parser, tokens: list[str]) -> str:
 )
 # The directional reference's finite terms summed past the float range in fsum.
 @example(argv=["direction", "--a", "8e307,8e307", "--theta", "1,1", "--v", "1,1", "--normalize"])
+# theta + 8h overflows to +inf at the first four steps, which run_blend skips.
+@example(argv=["diff", "sin", "--theta", "1e308", "--h0", "1e308"])
+@example(argv=["diff", "theta", "--theta", "1e308", "--h0", "1e308"])
 @settings(max_examples=500, deadline=None)
 def test_exit_code_contract(argv):
     code, out, err = run(argv, "0")

@@ -165,3 +165,23 @@ def test_argument_rules_are_written_once():
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and any(p in node.value for p in phrases)
     ]
     assert copies == []
+
+
+def test_series_core_private_imports_are_pinned():
+    # The kernel's fixed-point format and its row sums stay inside series_core,
+    # the rounding floor included: other modules import only these of its
+    # private names.
+    imported: dict[str, set[str]] = {}
+    for path in sorted(Path(blend.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "series_core":
+                private = {alias.name for alias in node.names if alias.name.startswith("_")}
+                if private:
+                    imported.setdefault(path.stem, set()).update(private)
+    assert imported == {
+        "blend_driver": {"_grid_points", "_integer", "_real", "_rounding_floor"},
+        "bounds_planner": {"_check_step", "_integer", "_real"},
+        "models": {"_integer", "_real"},
+        "cli": {"_env_workers"},
+        "reference_tables": {"_grid_points"},
+    }

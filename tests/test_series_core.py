@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from blend import (
     GrowthEnvelope,
     OracleEvaluationError,
     OrderCapError,
+    PartialSumTrace,
     StencilWeights,
     TandemQueueModel,
     blend_partial_sums,
@@ -35,6 +37,7 @@ from blend import (
     solve_k_exact_h,
     stencil_weights,
 )
+from blend.series_core import _rounding_floor
 
 
 class TestStencilWeights:
@@ -422,6 +425,50 @@ class TestExactReduction:
             trace = blend_partial_sums(FunctionOracle(lambda t, it=iter(values): next(it)), 0.0, 0.1, 8)
             assert all(math.isfinite(d) for d in trace.deltas[:3])
             assert all(math.isnan(d) for d in trace.deltas[3:])
+
+
+def _reference_floor(trace: PartialSumTrace) -> float:
+    """u * sum_k |w_k| * |f_k| and u * sum_k |w_k| * |theta + k*h|, each exact and rounded once, then combined in floats."""
+    n = len(trace.deltas)
+    magnitudes = [Fraction(abs(w)) for w in stencil_weights(n).weights]
+
+    def rounded(xs) -> float:
+        if not all(map(math.isfinite, xs)):
+            return math.nan
+        try:
+            return float(sum(w * Fraction(abs(x)) for w, x in zip(magnitudes, xs)))
+        except OverflowError:  # the exact sum lies beyond the float range
+            return math.nan
+
+    values = 2.0**-53 * rounded(trace.cached_values)
+    points = 2.0**-53 * rounded([trace.theta + k * trace.h for k in range(n + 1)])
+    return (values + points * abs(trace.deltas[-1])) / trace.h
+
+
+class TestRoundingFloor:
+    def test_matches_exact_reference(self):
+        rng = random.Random(28)
+
+        def value() -> float:
+            kind = rng.random()
+            if kind < 0.4:
+                return math.sin(rng.uniform(-4.0, 4.0))
+            if kind < 0.75:
+                return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 290.0)
+            if kind < 0.98:
+                return rng.choice((-1.0, 1.0)) * 5e-324 * rng.randrange(1, 1 << 40)  # subnormal
+            return rng.choice((-1.0, 1.0)) * rng.choice((1e300, 1e-300, 1.7e308))
+
+        for _ in range(600):
+            n = rng.randint(2, 40)
+            grid = [value() for _ in range(n + 1)]
+            if rng.random() < 0.1:
+                grid[rng.randrange(n + 1)] = math.nan
+            # theta = 1e308 takes points, and the sum over them, past the float range.
+            theta = 1e308 if rng.random() < 0.1 else rng.choice((rng.uniform(-3.0, 3.0), value()))
+            h = 10.0 ** rng.choice((rng.uniform(-8.0, 0.0), rng.uniform(-300.0, 290.0)))
+            trace = PartialSumTrace(theta=theta, h=h, deltas=tuple(value() for _ in range(n)), cached_values=tuple(grid))
+            assert _outcome(lambda: [_rounding_floor(trace)]) == _outcome(lambda: [_reference_floor(trace)]), trace
 
 
 class TestParallelism:
