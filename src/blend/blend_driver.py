@@ -133,11 +133,6 @@ class BlendReport:
         return self.trace.deltas[-1]
 
 
-def _collapsed(theta, h: float, n_max: int) -> bool:
-    """Whether two of the grid points theta + k*h, k = 0..n_max, round alike."""
-    return len(set(_grid_points(theta, h, n_max))) <= n_max
-
-
 def run_blend(
     oracle: FunctionOracle,
     theta: float,
@@ -178,18 +173,26 @@ def run_blend(
     names the lowest failing slot; the failing attempt stops at its first
     failing slot, as :func:`blend_partial_sums` describes, so it spends fewer
     than n_max + 1 evaluations.
+
+    ``config`` checked n_max and h0 when it was made.  Theta is checked where
+    each attempt forms its grid points, before any evaluation: an int or a
+    rational theta beyond the float range raises ValueError.  Each attempt's
+    :func:`blend_partial_sums` checks its order, step and worker budget
+    again, as a public call does.
     """
     start_count = oracle.eval_count
     for attempt in range(config.max_h_refinements + 1):
         h = config.h0 * H_SHRINK_FACTOR**attempt
         last_step = attempt == config.max_h_refinements or config.h0 * H_SHRINK_FACTOR ** (attempt + 1) == 0.0
+        points = _grid_points(theta, h, config.n_max)
         # +inf is the one non-finite point a finite theta and a positive step
         # can form; an mpf theta beyond the float range is no float and stays.
-        if theta + config.n_max * h == math.inf and not last_step:
+        if points[-1] == math.inf and not last_step:
             continue
         trace = blend_partial_sums(oracle, theta, h, config.n_max, max_workers=max_workers)
         previous, last = trace.deltas[-2], trace.deltas[-1]
-        collapsed = _collapsed(theta, h, config.n_max)
+        # Two of the points round alike: a smaller step only collapses more.
+        collapsed = len(set(points)) <= config.n_max
         comparable = math.isfinite(previous) and math.isfinite(last) and not collapsed
         digits = agreed_significant_digits(previous, last) if comparable else 0
         stabilized = digits >= config.min_agree_digits
@@ -207,6 +210,15 @@ def run_blend(
     )
 
 
+def _components(values, what: str) -> tuple[float, ...]:
+    """float() of each of ``values``, refusing a str or a bool, which float() takes as well."""
+    values = tuple(values)
+    if not {str, bool}.isdisjoint(map(type, values)):
+        bad = next(v for v in values if type(v) in (str, bool))
+        raise ValueError(f"{what} must be real numbers, got {bad!r}")
+    return tuple(map(float, values))
+
+
 @dataclass(frozen=True)
 class DirectionSpec:
     """A unit direction in parameter space; :meth:`unit` normalizes any vector."""
@@ -214,11 +226,11 @@ class DirectionSpec:
     direction: tuple[float, ...]
 
     def __post_init__(self):
-        direction = tuple(float(v) for v in self.direction)
+        direction = _components(self.direction, "direction components")
         object.__setattr__(self, "direction", direction)
         if not direction:
             raise ValueError("direction must have at least one component")
-        if not all(math.isfinite(v) for v in direction):
+        if not all(map(math.isfinite, direction)):
             raise ValueError(f"direction components must be finite, got {direction!r}")
         norm = math.sqrt(math.fsum(v * v for v in direction))
         if abs(norm - 1.0) > _NORM_TOL:
@@ -232,7 +244,7 @@ class DirectionSpec:
         divided by its largest magnitude; any other vector keeps the plain
         sqrt(fsum(v*v)) norm.
         """
-        values = [float(v) for v in vector]
+        values = _components(vector, "vector components")
         norm = math.sqrt(math.fsum(v * v for v in values))
         if norm == 0.0 or not math.isfinite(norm):
             scale = max(map(abs, values), default=0.0)
@@ -258,7 +270,7 @@ def directional_oracle(
     theta + k*h*v.  The oracle-evaluation cost of a run is independent of the
     dimension of theta.
     """
-    anchor = tuple(float(v) for v in theta)
+    anchor = _components(theta, "theta components")
     vec = direction.direction
     if len(anchor) != len(vec):
         raise ValueError(f"dimension mismatch: theta has {len(anchor)} components, direction {len(vec)}")

@@ -54,8 +54,9 @@ class GrowthEnvelope:
     """Constants (M, b) bounding derivative growth: sup|phi^(n)| <= M * b**n.
 
     ``magnitude`` is M (value units); ``growth`` is b (1/parameter units).
-    A growth for which 2*b*e overflows is rejected: its step domain
-    1/(2*b*e) would be empty.
+    A growth for which 2*b*e overflows is rejected, as its step domain
+    1/(2*b*e) would be empty, and so is one for which 1/(2*b*e) overflows,
+    as its domain would have no finite edge.
     """
 
     magnitude: float
@@ -66,6 +67,8 @@ class GrowthEnvelope:
             object.__setattr__(self, field, _real(getattr(self, field), f"envelope {field}"))
         if math.isinf(2.0 * self.growth * math.e):
             raise ValueError(f"envelope growth {self.growth!r} is too large: 2*b*e overflows, so the step domain 1/(2*b*e) is empty")
+        if math.isinf(h_domain(self)):
+            raise ValueError(f"envelope growth {self.growth!r} is too small: 1/(2*b*e) overflows, so the step domain has no finite edge")
 
 
 def _check_formula(formula: str) -> str:
@@ -89,7 +92,12 @@ def remainder_bound(envelope: GrowthEnvelope, n: int, h: float, formula: str = "
     """
     _integer(n, "order", 1)
     h = _check_step(h)
-    _check_formula(formula)
+    return _remainder_bound(envelope, n, h, _check_formula(formula))
+
+
+def _remainder_bound(envelope: GrowthEnvelope, n: int, h: float, formula: str) -> float:
+    # remainder_bound on checked arguments: an int n >= 1, a positive finite
+    # float h and a known formula.
     x = 2.0 * h * envelope.growth * math.e
     if x >= 1.0:
         return math.inf
@@ -134,6 +142,11 @@ def solve_k_exact_h(
     normal double, so ``k_digits`` is at most 306.  The bound is smooth and
     strictly increasing in h on (0, 1/(2*b*e)), so plain bracketed bisection
     suffices; the root satisfies |bound(h*) - target| <= 1e-3 * target.
+
+    ``k_digits`` and ``formula`` are checked first, then ``n``, by the one
+    :func:`remainder_bound` call at the domain edge; every other step of the
+    solve is a positive finite float below that edge, so the bisection
+    evaluates the bound on the checked arguments without checking them again.
     """
     _integer(k_digits, "k_digits", 1)
     _check_formula(formula)
@@ -149,16 +162,16 @@ def solve_k_exact_h(
         # Even near the domain edge the truncation is tighter than asked for.
         return StepPlan(h=hi, bound=hi_bound, target=target, clipped=True)
     lo = hi * 1e-12
-    lo_bound = remainder_bound(envelope, n, lo, formula)
+    lo_bound = _remainder_bound(envelope, n, lo, formula)
     while lo_bound > target:
         lo *= 0.5
         if lo < 5e-324:
             raise ArithmeticError("failed to bracket the step-size root")
-        lo_bound = remainder_bound(envelope, n, lo, formula)
+        lo_bound = _remainder_bound(envelope, n, lo, formula)
     best, best_bound = lo, lo_bound
     for _ in range(_BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        value = remainder_bound(envelope, n, mid, formula)
+        value = _remainder_bound(envelope, n, mid, formula)
         if value <= target:
             lo, best, best_bound = mid, mid, value
         else:

@@ -25,6 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from .blend_driver import _components
 from .bounds_planner import GrowthEnvelope
 from .oracle import FunctionOracle
 from .series_core import _integer, _real
@@ -110,7 +111,7 @@ def quadratic_form(coefficients: Sequence[float]) -> AnalyticTestFunction:
 
     The directional reference is NaN where the derivative is not a finite double.
     """
-    coeffs = tuple(float(a) for a in coefficients)
+    coeffs = _components(coefficients, "coefficients")
     if not coeffs:
         raise ValueError("need at least one coefficient")
 

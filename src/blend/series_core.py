@@ -38,6 +38,14 @@ the last 32 pairs of top order and slot width.  A single row, as in
 :func:`delta_from_cache`, :func:`operator_power` and :func:`_rounding_floor`,
 takes one dot product, :func:`_row_sum`; the floor's row is the cached float
 row with its signs dropped.
+
+Arguments are checked at the public functions, once per call: the order and
+the step by :func:`_check_order` and :func:`_check_step`, the worker budget
+when a grid is evaluated, and theta where the grid points are formed, by
+:func:`_grid_points`, before any evaluation.  The loops below them (the
+serial grid, the sweep, the reduction) run on checked values: a serial grid
+calls ``oracle.evaluate`` once per slot in one loop, and a failing slot is
+named from the number of values already taken.
 """
 
 from __future__ import annotations
@@ -218,10 +226,11 @@ def _sweep(grid: tuple[tuple[int, ...], int], top: int) -> list[float]:
     columns, bias = _columns(top, width)
     packed = (sum(map(operator.mul, ints, columns)) + bias).to_bytes(top * width, "little")
     half = 1 << (8 * width - 1)
-    return [
-        _quotient(int.from_bytes(packed[i : i + width], "little") - half, d * den)
-        for i, d in zip(range(0, top * width, width), dens)
-    ]
+    nums = [int.from_bytes(packed[i : i + width], "little") - half for i in range(0, top * width, width)]
+    try:
+        return [num / (d * den) for num, d in zip(nums, dens)]
+    except OverflowError:  # a sum beyond the float range, which _quotient makes NaN
+        return [_quotient(num, d * den) for num, d in zip(nums, dens)]
 
 
 def _neumaier(terms) -> object:
@@ -252,7 +261,9 @@ def _reduce(values: Sequence, orders: Sequence[int], fixed_sums, exact_row) -> l
     """
     end = len(values)
     fixed = next((k for k, v in enumerate(values) if type(v) is not float or not math.isfinite(v)), end)
-    finite = end if fixed == end else next((k for k, v in enumerate(values[fixed:], fixed) if type(v) is float and not math.isfinite(v)), end)
+    if fixed == end:  # a grid of finite floats, the common case: every order takes fixed_sums
+        return fixed_sums(_fixed_point(values), len(orders))
+    finite = next((k for k, v in enumerate(values[fixed:], fixed) if type(v) is float and not math.isfinite(v)), end)
     m = bisect_left(orders, fixed)
     sums = fixed_sums(_fixed_point(values[:fixed]), m) if m else []
     return sums + [
@@ -355,24 +366,34 @@ def delta_from_cache(weights: StencilWeights, cached_values: Sequence, h: float)
     n = weights.order_n
     if len(cached_values) < n + 1:
         raise ValueError(f"need {n + 1} cached values for order {n}, got {len(cached_values)}")
-    return -_row_sum(cached_values[: n + 1], _fixed_point(map(float, weights.weights)), weights.exact) / h
+    # The cached row of stencil_weights(n) has its fixed-point form cached too.
+    cached = type(n) is int and 0 < n <= ORDER_CAP and weights is _weight_row(n)
+    row = _fixed_row(n) if cached else _fixed_point(map(float, weights.weights))
+    return -_row_sum(cached_values[: n + 1], row, weights.exact) / h
 
 
 def _grid_points(theta, h: float, n_max: int) -> list:
-    """The points theta + k*h, k = 0..n_max, of a grid, slot k at index k."""
-    return [theta + k * h for k in range(n_max + 1)]
+    """The points theta + k*h, k = 0..n_max, of a grid, slot k at index k.
+
+    Raises ValueError, naming theta, for an int or a rational theta beyond
+    the float range: the one theta for which theta + k*h overflows.
+    """
+    try:
+        return [theta + k * h for k in range(n_max + 1)]
+    except OverflowError:
+        raise ValueError(f"theta must lie within the float range, got {theta!r}") from None
+
+
+def _slot_error(oracle: FunctionOracle, point, k: int, exc: Exception) -> OracleEvaluationError:
+    name = oracle.name or "oracle"
+    return OracleEvaluationError(f"{name} failed at grid point theta + {k}*h = {point!r}: {exc}", point=point, index=k)
 
 
 def _evaluate_at(oracle: FunctionOracle, point, k: int):
     try:
         return oracle.evaluate(point)
     except Exception as exc:
-        name = oracle.name or "oracle"
-        raise OracleEvaluationError(
-            f"{name} failed at grid point theta + {k}*h = {point!r}: {exc}",
-            point=point,
-            index=k,
-        ) from exc
+        raise _slot_error(oracle, point, k, exc) from exc
 
 
 def _env_workers() -> int:
@@ -409,8 +430,16 @@ def _evaluate_grid(oracle: FunctionOracle, theta, h: float, n_max: int, max_work
 
 def _evaluate_points(oracle: FunctionOracle, points: list, workers: int) -> list:
     if not oracle.parallel_safe or workers <= 1:
-        # Strictly sequential in increasing k for oracles that demand it.
-        return [_evaluate_at(oracle, point, k) for k, point in enumerate(points)]
+        # Strictly sequential in increasing k for oracles that demand it; the
+        # slot that raised is the number of values already taken.
+        values: list = []
+        try:
+            for point in points:
+                values.append(oracle.evaluate(point))
+        except Exception as exc:
+            k = len(values)
+            raise _slot_error(oracle, points[k], k, exc) from exc
+        return values
     # The calling thread runs the grid beside up to workers - 1 helpers, then
     # waits only for slots already claimed, never for a ticket no helper has
     # taken: so a grid evaluated inside an oracle, or in a forked child,

@@ -324,6 +324,23 @@ class TestDirectional:
         with pytest.raises(ValueError, match="finite"):
             DirectionSpec.unit((bad,)) if via_unit else DirectionSpec((bad,))
 
+    @pytest.mark.parametrize("bad", ["1", True, False], ids=["str", "True", "False"])
+    @pytest.mark.parametrize(
+        "call,what",
+        [
+            (lambda v: quadratic_form((1.0, v)), "coefficients"),
+            (lambda v: DirectionSpec((v, 0.0)), "direction components"),
+            (lambda v: DirectionSpec.unit((1.0, v)), "vector components"),
+            (lambda v: directional_oracle(lambda p: 0.0, (0.5, v), DirectionSpec((1.0, 0.0))), "theta components"),
+        ],
+        ids=["quadratic_form", "DirectionSpec", "unit", "directional_oracle"],
+    )
+    def test_str_and_bool_components_are_refused(self, call, what, bad):
+        # float() takes "1" and True, but neither is a component.
+        with pytest.raises(ValueError) as error:
+            call(bad)
+        assert str(error.value) == f"{what} must be real numbers, got {bad!r}"
+
     def test_axis_direction_reduces_to_partial(self):
         quadratic = quadratic_form((1.0, 2.0, 3.0))
         oracle = directional_oracle(quadratic.evaluate, (1.0, 1.0, 1.0), DirectionSpec((1.0, 0.0, 0.0)))

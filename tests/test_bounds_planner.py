@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 import sys
 
@@ -48,6 +49,15 @@ class TestEnvelope:
                 GrowthEnvelope(1.0, growth)
         largest = GrowthEnvelope(1.0, 3e307)
         assert h_domain(largest) == 1.0 / (2.0 * 3e307 * math.e) > 0.0
+
+    def test_rejects_growth_whose_domain_has_no_finite_edge(self):
+        # 2*b*e is subnormal, so h_domain would be 1/(2*b*e) = inf, and a
+        # step solve would start its bisection at an infinite step.
+        for growth in (1e-309, 5e-324):
+            with pytest.raises(ValueError, match=re.escape(f"growth {growth!r} is too small")):
+                GrowthEnvelope(1.0, growth)
+        smallest = GrowthEnvelope(1.0, 1.03e-309)
+        assert 0.0 < solve_k_exact_h(smallest, 4, 6).h < h_domain(smallest) < math.inf
 
 
 class TestHDomain:
@@ -234,13 +244,13 @@ class TestStepSolver:
         # lower end plus each halving) and one per bisection step: no point is
         # evaluated twice.
         steps = []
-        original = bounds_planner.remainder_bound
+        original = bounds_planner._remainder_bound
 
         def counting(envelope, n, h, formula="lemma2"):
             steps.append(h)
             return original(envelope, n, h, formula)
 
-        monkeypatch.setattr(bounds_planner, "remainder_bound", counting)
+        monkeypatch.setattr(bounds_planner, "_remainder_bound", counting)
         envelope = GrowthEnvelope(120.0, 2.4)
         plan = solve_k_exact_h(envelope, 2, 6, formula)
         edge = 0.99 * h_domain(envelope)
@@ -268,6 +278,51 @@ class TestStepSolver:
             assert plan.bound < plan.target
         else:
             assert abs(plan.bound - plan.target) <= 1e-3 * plan.target
+
+
+def _reference_solve(envelope, n, k_digits, formula):
+    # The step solve written out on the public remainder_bound: bracket the
+    # root below 0.99 of the domain edge, then bisect until the bound at the
+    # best step is within 1e-3 of the target.
+    target = 10.0 ** (-(k_digits + 1))
+    hi = 0.99 * h_domain(envelope)
+    hi_bound = remainder_bound(envelope, n, hi, formula)
+    if hi_bound < target:
+        return hi, hi_bound, target, True
+    lo = hi * 1e-12
+    lo_bound = remainder_bound(envelope, n, lo, formula)
+    while lo_bound > target:
+        lo *= 0.5
+        lo_bound = remainder_bound(envelope, n, lo, formula)
+    best, best_bound = lo, lo_bound
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        value = remainder_bound(envelope, n, mid, formula)
+        if value <= target:
+            lo, best, best_bound = mid, mid, value
+        else:
+            hi = mid
+        if abs(best_bound - target) <= 1e-3 * target:
+            break
+    return best, best_bound, target, False
+
+
+def test_solve_matches_a_reference_bisection_bit_for_bit():
+    # The solve bisects on the bound without re-checking its arguments; its
+    # plans keep the bits of the same bisection on the checked public bound.
+    rng = random.Random(20161029)
+    cases = [
+        (GrowthEnvelope(10.0 ** rng.uniform(-30, 30), 10.0 ** rng.uniform(-30, 30)), rng.randint(1, 40), rng.randint(1, 15), formula)
+        for _ in range(300)
+        for formula in BOUND_FORMULAS
+    ]
+    clipped = 0
+    for envelope, n, k_digits, formula in cases:
+        plan = solve_k_exact_h(envelope, n, k_digits, formula)
+        expected = _reference_solve(envelope, n, k_digits, formula)
+        assert (plan.h, plan.bound, plan.target, plan.clipped) == expected, (envelope, n, k_digits, formula)
+        clipped += plan.clipped
+    assert 0 < clipped < len(cases)
 
 
 class TestBoundaryDivergence:

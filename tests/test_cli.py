@@ -626,6 +626,12 @@ class TestEdgeInputs:
             assert proc.stderr.startswith("error: ")
             assert proc.stderr.count("\n") == 1
 
+    def test_growth_too_small_for_the_step_domain_is_named(self):
+        # 1/(2*b*e) overflows: the envelope names its growth, not a step the user never gave.
+        proc = run_cli("plan", "--M", "1", "--b", "1e-309", "--N", "4", "--K", "6")
+        assert proc.returncode == 64
+        assert proc.stderr == "error: envelope growth 1e-309 is too small: 1/(2*b*e) overflows, so the step domain has no finite edge\n"
+
     def test_overflowing_exp_refines_below_the_float_range(self):
         # theta + 2h = 709.79 overflows exp; steps of h0/8 keep the grid finite.
         report = run_json("diff", "exp(theta)", "--theta", "709.75", "--h0", "0.02")["report"]

@@ -34,6 +34,7 @@ from blend import (
     exp_density,
     operator_power,
     remainder_bound,
+    run_blend,
     solve_k_exact_h,
     stencil_weights,
 )
@@ -128,6 +129,28 @@ class TestRealRule:
         with pytest.raises(ValueError) as error:
             call(value)
         assert str(error.value) == f"{message}, got {value!r}"
+
+
+class TestThetaRange:
+    # theta + k*h raises OverflowError for an int or a rational theta beyond
+    # the float range; each entry point refuses such a theta by name, before
+    # any evaluation.
+    @pytest.mark.parametrize("theta", [10**400, -(10**400), Fraction(10**400)], ids=["int", "negative_int", "Fraction"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda oracle, theta: run_blend(oracle, theta, BlendConfig(h0=1.0)),
+            lambda oracle, theta: blend_partial_sums(oracle, theta, 1.0, 4),
+            lambda oracle, theta: operator_power(oracle, theta, 1.0, 2),
+        ],
+        ids=["run_blend", "blend_partial_sums", "operator_power"],
+    )
+    def test_theta_beyond_the_float_range_is_refused(self, call, theta):
+        oracle = FunctionOracle(lambda t: t)
+        with pytest.raises(ValueError) as error:
+            call(oracle, theta)
+        assert str(error.value) == f"theta must lie within the float range, got {theta!r}"
+        assert oracle.eval_count == 0
 
 
 class TestOperatorPower:
@@ -412,6 +435,17 @@ class TestExactReduction:
         expected = -operator_power(FunctionOracle(math.exp), 0.0, 0.1, 4, cache=values) / 0.1
         assert delta_from_cache(row, values, 0.1) == expected
         assert expected != delta_from_cache(stencil_weights(4), values, 0.1)
+
+    def test_cached_row_and_its_copy_give_the_same_bits(self):
+        # The cached row of each order takes its cached fixed-point form; an
+        # equal row built by hand is converted on the call, to the same sum.
+        rng = random.Random(290)
+        for n in range(1, ORDER_CAP + 1):
+            cached = stencil_weights(n)
+            copy = StencilWeights(order_n=n, weights=cached.weights, exact=cached.exact)
+            values = [rng.uniform(-10.0, 10.0) * 10.0 ** rng.uniform(-300, 300) for _ in range(n + 1)]
+            h = 10.0 ** rng.uniform(-8, 0)
+            assert repr(delta_from_cache(cached, values, h)) == repr(delta_from_cache(copy, values, h))
 
     def test_overflowing_products_leave_every_order_finite(self):
         trace = blend_partial_sums(FunctionOracle(lambda t: 1e299 * t), 1.0, 0.01, ORDER_CAP)
