@@ -37,8 +37,10 @@ from .oracle import FunctionOracle
 from .series_core import (
     ORDER_CAP,
     PartialSumTrace,
+    _env_workers,
     _grid_points,
     _integer,
+    _last_deltas,
     _real,
     _rounding_floor,
     blend_partial_sums,
@@ -118,7 +120,9 @@ class BlendReport:
     or not the run stabilized.  When it did, ``agreed_digits`` is the claim
     the rule makes for it: that many leading significant digits are settled.
     The final step is ``trace.h``, which equals
-    h0 * H_SHRINK_FACTOR**refinements exactly.
+    h0 * H_SHRINK_FACTOR**refinements exactly.  ``value`` is the sum the run
+    compared, so reading it sums nothing; ``trace.deltas``, the table of all
+    orders, is summed on its first read.
     """
 
     agreed_digits: int
@@ -130,7 +134,7 @@ class BlendReport:
     @property
     def value(self) -> float:
         """Delta(n_max, trace.h), the last partial sum the run computed."""
-        return self.trace.deltas[-1]
+        return _last_deltas(self.trace)[-1]
 
 
 def run_blend(
@@ -144,7 +148,11 @@ def run_blend(
 
     The report's ``value`` is the last partial sum of the final attempt as
     computed, and ``agreed_digits`` the number of leading digits it shares
-    with the one before.
+    with the one before.  An attempt sums only those two partial sums (and
+    the rounding floor, when it needs it): no attempt sweeps the table of
+    all orders, which the final trace sums when its ``deltas`` is read.
+    With ``max_workers`` None, the BLEND_THREADS budget is read once per
+    run, and every attempt takes it.
 
     Each attempt performs exactly n_max + 1 fresh oracle evaluations, except
     that an attempt whose top grid point theta + n_max*h overflows to +inf is
@@ -181,6 +189,7 @@ def run_blend(
     again, as a public call does.
     """
     start_count = oracle.eval_count
+    workers = _env_workers() if max_workers is None else max_workers
     for attempt in range(config.max_h_refinements + 1):
         h = config.h0 * H_SHRINK_FACTOR**attempt
         last_step = attempt == config.max_h_refinements or config.h0 * H_SHRINK_FACTOR ** (attempt + 1) == 0.0
@@ -189,8 +198,8 @@ def run_blend(
         # can form; an mpf theta beyond the float range is no float and stays.
         if points[-1] == math.inf and not last_step:
             continue
-        trace = blend_partial_sums(oracle, theta, h, config.n_max, max_workers=max_workers)
-        previous, last = trace.deltas[-2], trace.deltas[-1]
+        trace = blend_partial_sums(oracle, theta, h, config.n_max, max_workers=workers)
+        previous, last = _last_deltas(trace)
         # Two of the points round alike: a smaller step only collapses more.
         collapsed = len(set(points)) <= config.n_max
         comparable = math.isfinite(previous) and math.isfinite(last) and not collapsed
@@ -198,7 +207,7 @@ def run_blend(
         stabilized = digits >= config.min_agree_digits
         # A smaller step only raises the rounding floor, so a pair that differs
         # by no more than it cannot be settled by halving.
-        at_floor = comparable and not stabilized and abs(last - previous) <= 2 * _rounding_floor(trace)
+        at_floor = comparable and not stabilized and abs(last - previous) <= 2 * _rounding_floor(trace, last)
         if stabilized or collapsed or at_floor or last_step:
             break
     return BlendReport(

@@ -98,19 +98,24 @@ def remainder_bound(envelope: GrowthEnvelope, n: int, h: float, formula: str = "
 def _remainder_bound(envelope: GrowthEnvelope, n: int, h: float, formula: str) -> float:
     # remainder_bound on checked arguments: an int n >= 1, a positive finite
     # float h and a known formula.
-    x = 2.0 * h * envelope.growth * math.e
+    # 2*b is exact and finite (the envelope refuses a b for which 2*b*e
+    # overflows), so h * (2*b) is 2*h*b rounded once, as (2*h) * b is
+    # whenever 2*h is finite, and it overflows only where x >= 1.
+    x = h * (2.0 * envelope.growth) * math.e
     if x >= 1.0:
         return math.inf
     if formula == "lemma2":
         denom = (n + 1) ** 1.5 * h
     else:
         denom = 2.0 ** ((n + 1) / 2.0)
-    bound = envelope.magnitude / (math.sqrt(2.0 * math.pi) * denom) * x ** (n + 1) / (1.0 - x)
-    if math.isfinite(bound):
+    scale = math.sqrt(2.0 * math.pi) * denom
+    bound = envelope.magnitude / scale * x ** (n + 1) / (1.0 - x)
+    if math.isfinite(bound) and scale < math.inf:
         return bound
-    # M/h overflowed while x**(n+1) underflowed (inf * 0 = NaN), or a partial
-    # product overflowed: the same formula in logarithms, with log(x) taken
-    # from its factors because x itself may have underflowed.
+    # M/h overflowed while x**(n+1) underflowed (inf * 0 = NaN), a partial
+    # product overflowed, or the denominator did, which would make the bound
+    # 0: the same formula in logarithms, with log(x) taken from its factors
+    # because x itself may have underflowed.
     log_denom = 1.5 * math.log(n + 1) + math.log(h) if formula == "lemma2" else (n + 1) / 2.0 * math.log(2.0)
     log_x = math.log(2.0 * math.e) + math.log(h) + math.log(envelope.growth)
     log_bound = math.log(envelope.magnitude) - 0.5 * math.log(2.0 * math.pi) - log_denom + (n + 1) * log_x - math.log1p(-x)

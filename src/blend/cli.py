@@ -128,10 +128,13 @@ def _check_output(path: str | None) -> None:
         raise _UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _check_threads() -> None:
-    """An invalid BLEND_THREADS is a usage error: one ``error:`` line naming it."""
+def _check_threads() -> int:
+    """The BLEND_THREADS worker budget, read once per command.
+
+    An invalid value is a usage error: one ``error:`` line naming it.
+    """
     try:
-        _env_workers()
+        return _env_workers()
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -197,7 +200,7 @@ def cmd_diff(function, theta, fmt, out_path, **driver):
     FUNCTION is a catalog name (sin, quartic5) or an arithmetic expression
     such as "theta^2*sin(theta)".  Exits 0 when stabilized, 2 otherwise.
     """
-    _check_threads()
+    workers = _check_threads()
     if not math.isfinite(theta):
         raise _UsageError(f"--theta must be a finite real, got {theta!r}")
     notes: list[str] = []
@@ -213,7 +216,7 @@ def cmd_diff(function, theta, fmt, out_path, **driver):
         oracle = FunctionOracle(compiled, parallel_safe=True, name="expression")
         envelope = None
     config = _build_config(**driver)
-    report = run_blend(oracle, theta, config)
+    report = run_blend(oracle, theta, config, max_workers=workers)
     if envelope is not None and report.refinements == 0 and config.h0 >= h_domain(envelope):
         notes.append(
             f"step h0={config.h0:g} is at or above the certified-step limit "
@@ -244,7 +247,7 @@ def cmd_direction(a_text, theta_text, v_text, normalize, fmt, out_path, **driver
     eval_count depends only on the truncation order and refinement count,
     never on the dimension.
     """
-    _check_threads()
+    workers = _check_threads()
     coeffs = _parse_floats(a_text, "--a")
     theta = _parse_floats(theta_text, "--theta")
     vector = _parse_floats(v_text, "--v")
@@ -260,7 +263,7 @@ def cmd_direction(a_text, theta_text, v_text, normalize, fmt, out_path, **driver
     quadratic = quadratic_form(coeffs)
     oracle = directional_oracle(quadratic.evaluate, theta, spec, parallel_safe=True)
     config = _build_config(**driver)
-    report = run_blend(oracle, 0.0, config)
+    report = run_blend(oracle, 0.0, config, max_workers=workers)
     analytic = quadratic.reference_derivative(theta, spec.direction)
     inputs = {"dimension": len(coeffs), "a": list(coeffs), "theta": list(theta), "v": list(spec.direction)}
     reference = analytic if math.isfinite(analytic) else None
@@ -330,7 +333,7 @@ def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, fmt, out_path,
     the balance residual of the base row alone.  The CSV is written after
     the run, so a run that fails leaves none behind.
     """
-    _check_threads()
+    workers = _check_threads()
     try:
         model = TandemQueueModel(arrival_rate=arrival_rate, mu1=mu1, mu2=mu2, cap1=cap1, cap2=cap2)
         if model.arrival_rate <= 0:
@@ -339,7 +342,7 @@ def cmd_queue(arrival_rate, mu1, mu2, cap1, cap2, stationary_csv, fmt, out_path,
         raise _UsageError(str(exc)) from exc
     oracle, stationary = _queue_oracle(model)
     config = _build_config(**driver)
-    report = run_blend(oracle, model.arrival_rate, config)
+    report = run_blend(oracle, model.arrival_rate, config, max_workers=workers)
     # Slot 0 of every attempt's grid is the base rate, so the oracle's latest
     # stack holds its row.
     base = _with_residual(model, stationary([model.arrival_rate])[0])

@@ -29,15 +29,21 @@ float range gives NaN.  Grids of other numeric types (exact rationals,
 multi-precision floats) take the exact row in Neumaier order.  An order that
 reaches a non-finite float gives NaN.
 
-The partial sums of every order come from one sweep (Kronecker substitution):
-the stencil rows 1..N_max are packed column-wise, one big integer per grid
-slot with each order in its own slot of bits, so the N_max + 1 oracle
-evaluations are followed by N_max + 1 products of a grid integer by a packed
-column and N_max divisions, one per order.  The packed columns are cached for
-the last 32 pairs of top order and slot width.  A single row, as in
-:func:`delta_from_cache`, :func:`operator_power` and :func:`_rounding_floor`,
-takes one dot product, :func:`_row_sum`; the floor's row is the cached float
-row with its signs dropped.
+A :class:`PartialSumTrace` keeps the grid values and sums them when they are
+read, against the grid in fixed point, which it makes once and shares among
+all its reductions.  ``run_blend`` reads only the last two partial sums of
+each attempt, two single rows (:func:`_last_deltas`), and, when the pair is
+not settled, the rounding floor, whose sum over |f_k| takes the trace's
+fixed-point grid with its signs dropped.  The table ``deltas`` comes from one
+sweep (Kronecker substitution) on its first read: the stencil rows are packed
+column-wise, one big integer per grid slot with each order in its own slot of
+bits, so the sweep of orders 1..N is N + 1 products of a grid integer by a
+packed column and N divisions, one per order.  It sweeps orders 1..N_max, or
+1..N_max-2 once the last two are known.  The packed columns are cached for the
+last 32 pairs of top order and slot width.  A single row, as in
+:func:`delta_from_cache`, :func:`operator_power`, :func:`_last_deltas` and
+:func:`_rounding_floor`, takes one dot product, :func:`_dot`; the floor's row
+is the cached float row with its signs dropped.
 
 Arguments are checked at the public functions, once per call: the order and
 the step by :func:`_check_order` and :func:`_check_step`, the worker budget
@@ -210,27 +216,30 @@ def _columns(top: int, width: int) -> tuple[tuple[int, ...], int]:
     return tuple(map(column, range(top + 1))), bias
 
 
-def _sweep(grid: tuple[tuple[int, ...], int], top: int) -> list[float]:
+def _sweep(grid: tuple[tuple[int, ...], int], orders: range) -> list[float]:
     """sum_k r_nk * g_k / (den_n * den), for the fixed-point stencil rows n = 1..top, against a fixed-point grid.
+
+    ``orders`` is range(1, top + 1).
 
     Kronecker substitution: each grid integer g_k is multiplied once by
     column k, and the products are summed, so every order's exact sum lands
     in its own slot.  A slot is wide enough for any such sum: the bit length
     of max_n sum_k |r_nk|, plus that of max_k |g_k|, plus 2, in whole bytes.
     Each sum is read back and rounded once, by the division of
-    :func:`_row_sum`, so the bits are those of one row sum per order.
+    :func:`_dot`, so the bits are those of one row sum per order.
     """
     ints, den = grid
+    top = len(orders)
     bits, dens = _row_scales(top)
     width = (bits + max(map(abs, ints)).bit_length() + 2 + 7) // 8
     columns, bias = _columns(top, width)
     packed = (sum(map(operator.mul, ints, columns)) + bias).to_bytes(top * width, "little")
     half = 1 << (8 * width - 1)
-    nums = [int.from_bytes(packed[i : i + width], "little") - half for i in range(0, top * width, width)]
+    slots = range(0, top * width, width)
     try:
-        return [num / (d * den) for num, d in zip(nums, dens)]
+        return [(int.from_bytes(packed[i : i + width], "little") - half) / (d * den) for i, d in zip(slots, dens)]
     except OverflowError:  # a sum beyond the float range, which _quotient makes NaN
-        return [_quotient(num, d * den) for num, d in zip(nums, dens)]
+        return [_quotient(int.from_bytes(packed[i : i + width], "little") - half, d * den) for i, d in zip(slots, dens)]
 
 
 def _neumaier(terms) -> object:
@@ -249,60 +258,109 @@ def _neumaier(terms) -> object:
     return total + comp
 
 
-def _reduce(values: Sequence, orders: Sequence[int], fixed_sums, exact_row) -> list:
-    """sum_k row_k * values[k], k = 0..n, for each order n of ``orders``, in increasing order.
+def _prepare(values: Sequence) -> tuple:
+    """The grid as the kernel reads it: (values, fixed, finite, point).
 
-    The grid is checked, and its floats converted to fixed point, once for
-    all orders.  The m orders whose slots all hold finite floats take
-    ``fixed_sums(grid, m)``, with the grid's float prefix in fixed point:
-    each sum is exact in integers and rounded once, NaN past the float
-    range.  An order that reaches a non-finite float gives NaN.  Other
-    orders take ``exact_row(n)`` in Neumaier order.
+    Slots below ``fixed`` hold finite floats, and ``point`` is that prefix
+    in fixed point; ``finite`` is the first slot that holds a non-finite
+    float.  Either index is len(values) when there is no such slot.
     """
     end = len(values)
     fixed = next((k for k, v in enumerate(values) if type(v) is not float or not math.isfinite(v)), end)
-    if fixed == end:  # a grid of finite floats, the common case: every order takes fixed_sums
-        return fixed_sums(_fixed_point(values), len(orders))
+    if fixed == end:  # a grid of finite floats, the common case
+        return values, end, end, _fixed_point(values)
     finite = next((k for k, v in enumerate(values[fixed:], fixed) if type(v) is float and not math.isfinite(v)), end)
+    return values, fixed, finite, _fixed_point(values[:fixed])
+
+
+def _reduce(grid: tuple, orders: Sequence[int], fixed_sums, exact_row) -> list:
+    """sum_k row_k * values[k], k = 0..n, for each order n of ``orders``, in increasing order.
+
+    ``grid`` is :func:`_prepare` of the values, made once for all the
+    reductions of a grid.  The first orders, whose slots all hold finite
+    floats, take ``fixed_sums(point, those orders)``: each sum is exact in
+    integers and rounded once, NaN past the float range.  An order that
+    reaches a non-finite float gives NaN.  Other orders take
+    ``exact_row(n)`` in Neumaier order.
+    """
+    values, fixed, finite, point = grid
+    if fixed == len(values):  # every order takes fixed_sums
+        return fixed_sums(point, orders)
     m = bisect_left(orders, fixed)
-    sums = fixed_sums(_fixed_point(values[:fixed]), m) if m else []
+    sums = fixed_sums(point, orders[:m]) if m else []
     return sums + [
         math.nan if n >= finite else _neumaier(map(operator.mul, exact_row(n), values))
         for n in orders[m:]
     ]
 
 
-def _row_sum(values: Sequence, row: tuple[tuple[int, ...], int], exact: Sequence) -> object:
-    """sum_k exact[k] * values[k], k = 0..n, over a grid of n + 1 values, by :func:`_reduce`.
+def _dot(point: tuple[tuple[int, ...], int], row: tuple[tuple[int, ...], int]) -> float:
+    # One row sum over a fixed-point grid, exact and rounded once, NaN past
+    # the float range; the shorter of the two sets the slots summed.
+    try:
+        return sum(map(operator.mul, row[0], point[0])) / (row[1] * point[1])
+    except OverflowError:
+        return math.nan
+
+
+def _dots(point: tuple[tuple[int, ...], int], orders: Sequence[int]) -> list[float]:
+    return [_dot(point, _fixed_row(n)) for n in orders]
+
+
+def _exact_row(n: int) -> tuple[Fraction, ...]:
+    return _weight_row(n).exact
+
+
+def _row_sum(grid: tuple, row: tuple[tuple[int, ...], int], exact: Sequence) -> object:
+    """sum_k exact[k] * values[k], k = 0..n, over a prepared grid of n + 1 values, by :func:`_reduce`.
 
     ``row`` is ``exact`` in fixed point.  A grid of finite floats takes it:
     the sum is exact in integers and rounded once, NaN past the float range.
     Other grids take ``exact`` as it is.
     """
-    ints, den = row
-    return _reduce(
-        values, (len(values) - 1,), lambda grid, _: [_quotient(sum(map(operator.mul, ints, grid[0])), den * grid[1])], lambda _: exact
-    )[0]
+    return _reduce(grid, (len(grid[0]) - 1,), lambda point, _: [_dot(point, row)], lambda _: exact)[0]
 
 
-def _rounding_floor(trace: PartialSumTrace) -> float:
-    """floor_N = u * sum_k |w_k| * (|f_k| + |Delta(N)| * |theta + k*h|) / h at the trace's last order N.
+def _last_deltas(trace: PartialSumTrace) -> tuple[float, ...]:
+    """(Delta(N-1), Delta(N)) at the trace's top order N, or (Delta(1),) at N = 1.
 
-    u = 2**-53 is the unit roundoff of a double, w the order-N float row and
-    f the cached grid values: the rounding that the values and the points
-    theta + k*h carry moves Delta(N) by about this much.  Both sums over k
-    are row sums, against the float magnitudes |w_k| (in fixed point, the
-    cached row with its signs dropped), and are scaled by u before
-    |Delta(N)| multiplies in, so a sum beyond the float range gives NaN,
-    which meets no comparison.
+    Two row sums of the trace's grid, kept on the trace, with the bits the
+    sweep of :attr:`PartialSumTrace.deltas` gives these orders; a later read
+    of ``deltas`` sweeps only the orders below them.
     """
-    n = len(trace.deltas)
+    cache = trace.__dict__
+    last = cache.get("_last")
+    if last is None:
+        n, h = len(trace.cached_values) - 1, trace.h
+        sums = _reduce(trace._prepared(), range(max(n - 1, 1), n + 1), _dots, _exact_row)
+        last = cache.setdefault("_last", tuple([-s / h for s in sums]))
+    return last
+
+
+def _rounding_floor(trace: PartialSumTrace, last: float) -> float:
+    """floor_N = u * sum_k |w_k| * (|f_k| + |Delta(N)| * |theta + k*h|) / h at the trace's top order N.
+
+    ``last`` is Delta(N), u = 2**-53 the unit roundoff of a double, w the
+    order-N float row and f the cached grid values: the rounding that the
+    values and the points theta + k*h carry moves Delta(N) by about this
+    much.  Both sums over k are row sums, against the float magnitudes
+    |w_k| (in fixed point, the cached row with its signs dropped), and are
+    scaled by u before |Delta(N)| multiplies in, so a sum beyond the float
+    range gives NaN, which meets no comparison.  A grid of finite floats
+    lends the sum over |f_k| its fixed-point form with the signs dropped.
+    """
+    n = len(trace.cached_values) - 1
     ints, den = _fixed_row(n)
     row = (tuple(map(abs, ints)), den)
     magnitudes = [abs(w) for w in _weight_row(n).weights]
-    values = 2.0**-53 * _row_sum([abs(v) for v in trace.cached_values], row, magnitudes)
-    points = 2.0**-53 * _row_sum([abs(x) for x in _grid_points(trace.theta, trace.h, n)], row, magnitudes)
-    return (values + points * abs(trace.deltas[-1])) / trace.h
+    cached, fixed, finite, point = trace._prepared()
+    if fixed == len(cached):
+        grid = cached, fixed, finite, (tuple(map(abs, point[0])), point[1])
+    else:
+        grid = _prepare([abs(v) for v in cached])
+    values = 2.0**-53 * _row_sum(grid, row, magnitudes)
+    points = 2.0**-53 * _row_sum(_prepare([abs(x) for x in _grid_points(trace.theta, trace.h, n)]), row, magnitudes)
+    return (values + points * abs(last)) / trace.h
 
 
 def operator_power(
@@ -332,12 +390,18 @@ def operator_power(
     else:
         values = _evaluate_grid(oracle, theta, h, n, max_workers=None)
     row = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
-    return _row_sum(values, (row, 1), row)
+    return _row_sum(_prepare(values), (row, 1), row)
 
 
 @dataclass(frozen=True)
 class PartialSumTrace:
-    """Partial sums Delta(1,h)..Delta(N_max,h) plus the cached grid values.
+    """The grid values phi(theta + k*h), k = 0..N_max, and their partial sums Delta(1,h)..Delta(N_max,h).
+
+    ``deltas`` is summed on its first read and kept: one sweep of the grid
+    (only of orders 1..N_max-2 once :func:`_last_deltas` has summed the top
+    two orders, as ``run_blend`` does on every attempt).  Threads that read
+    it at once all receive the one tuple stored first.  The grid is put in
+    fixed point once, and every reduction of the trace shares it.
 
     ``deltas[N-1]`` is recomputable bit-identically from ``cached_values`` and
     ``stencil_weights(N)`` alone via :func:`delta_from_cache`: both reduce
@@ -347,8 +411,24 @@ class PartialSumTrace:
 
     theta: float
     h: float
-    deltas: tuple[float, ...]
     cached_values: tuple[float, ...]
+
+    # The sums are kept in the instance __dict__, which a frozen dataclass
+    # leaves free; dict.setdefault stores one value however many threads race.
+    def _prepared(self) -> tuple:
+        grid = self.__dict__.get("_grid")
+        return grid if grid is not None else self.__dict__.setdefault("_grid", _prepare(self.cached_values))
+
+    @property
+    def deltas(self) -> tuple[float, ...]:
+        cache = self.__dict__
+        deltas = cache.get("_deltas")
+        if deltas is None:
+            h, last = self.h, cache.get("_last", ())
+            top = len(self.cached_values) - 1 - len(last)
+            sums = _reduce(self._prepared(), range(1, top + 1), _sweep, _exact_row) if top > 0 else []
+            deltas = cache.setdefault("_deltas", tuple([-s / h for s in sums]) + last)
+        return deltas
 
 
 def delta_from_cache(weights: StencilWeights, cached_values: Sequence, h: float) -> float:
@@ -369,7 +449,7 @@ def delta_from_cache(weights: StencilWeights, cached_values: Sequence, h: float)
     # The cached row of stencil_weights(n) has its fixed-point form cached too.
     cached = type(n) is int and 0 < n <= ORDER_CAP and weights is _weight_row(n)
     row = _fixed_row(n) if cached else _fixed_point(map(float, weights.weights))
-    return -_row_sum(cached_values[: n + 1], row, weights.exact) / h
+    return -_row_sum(_prepare(cached_values[: n + 1]), row, weights.exact) / h
 
 
 def _grid_points(theta, h: float, n_max: int) -> list:
@@ -554,8 +634,11 @@ def blend_partial_sums(
     *,
     max_workers: int | None = None,
 ) -> PartialSumTrace:
-    """Evaluate the grid once and compute Delta(N, h) for N = 1..n_max.
+    """Evaluate the grid once, for the partial sums Delta(N, h), N = 1..n_max.
 
+    The trace sums them when they are read (see :class:`PartialSumTrace`):
+    this call evaluates the grid and sums nothing, so a value that is no
+    number fails at the first read, not here.
     phi(theta + k*h) is evaluated exactly once per k.  An oracle with a
     ``batch`` receives the whole grid in one :meth:`FunctionOracle.evaluate_many`
     call, and the worker budget does not apply to it.  Other oracles'
@@ -585,6 +668,4 @@ def blend_partial_sums(
     """
     _check_order(n_max, "n_max")
     _check_step(h)
-    values = _evaluate_grid(oracle, theta, h, n_max, max_workers)
-    sums = _reduce(values, range(1, n_max + 1), _sweep, lambda n: _weight_row(n).exact)
-    return PartialSumTrace(theta=theta, h=h, deltas=tuple([-s / h for s in sums]), cached_values=tuple(values))
+    return PartialSumTrace(theta=theta, h=h, cached_values=tuple(_evaluate_grid(oracle, theta, h, n_max, max_workers)))

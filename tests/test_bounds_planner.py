@@ -150,6 +150,27 @@ class TestRemainderBound:
             expected = float(mp.mpf(1e200) / (mp.sqrt(2 * mp.pi) * mp.mpf(11) ** mp.mpf("1.5") * hm) * x**11 / (1 - x))
         assert remainder_bound(GrowthEnvelope(1e200, 1e120), 10, h) == pytest.approx(expected, rel=1e-11)
 
+    @pytest.mark.parametrize("formula", BOUND_FORMULAS)
+    @pytest.mark.parametrize(
+        "magnitude, growth, n, h",
+        [
+            (1e300, 1.03e-309, 4, 1e308),  # 2*h overflows
+            (1e300, 2e-309, 4, 5e307),  # (N+1)**1.5 * h overflows
+            (1.1191032803967128e306, 3.6123370886830156e-308, 37, 5.041066736278868e306),
+        ],
+    )
+    def test_step_near_the_top_of_the_float_range_matches_high_precision(self, formula, magnitude, growth, n, h):
+        # Inside the domain (x = 2*h*b*e < 1) the bound is the formula's
+        # value, though 2*h or the lemma2 denominator overflows in doubles:
+        # not inf, which would refuse every such step, and not 0, which
+        # would certify it.
+        with mp.workdps(40):
+            x = 2 * mp.mpf(h) * mp.mpf(growth) * mp.e
+            assert x < 1
+            denom = mp.mpf(n + 1) ** mp.mpf("1.5") * mp.mpf(h) if formula == "lemma2" else mp.mpf(2) ** (mp.mpf(n + 1) / 2)
+            expected = float(mp.mpf(magnitude) / (mp.sqrt(2 * mp.pi) * denom) * x ** (n + 1) / (1 - x))
+        assert remainder_bound(GrowthEnvelope(magnitude, growth), n, h, formula) == pytest.approx(expected, rel=1e-10)
+
     def test_bad_arguments(self):
         envelope = GrowthEnvelope(1.0, 1.0)
         with pytest.raises(ValueError):
@@ -218,6 +239,28 @@ class TestStepSolver:
         assert not plan.clipped
         assert math.isfinite(plan.bound) and plan.bound <= plan.target
         assert plan.h == pytest.approx(6.13e-154, rel=1e-3)
+
+    @pytest.mark.parametrize("magnitude, clipped", [(1.0, True), (1e308, False)])
+    def test_domain_near_the_top_of_the_float_range(self, monkeypatch, magnitude, clipped):
+        # The domain edge 1/(2*b*e) is 1.79e308: 2*h overflows above 9e307 and
+        # (N+1)**1.5 * h above 1.6e307.  The edge's tiny bound clips the plan
+        # at once, and with a large M the bisection, whose first steps lie in
+        # that range, meets the target within its budget.
+        steps = []
+        original = bounds_planner._remainder_bound
+
+        def counting(envelope, n, h, formula="lemma2"):
+            steps.append(h)
+            return original(envelope, n, h, formula)
+
+        monkeypatch.setattr(bounds_planner, "_remainder_bound", counting)
+        envelope = GrowthEnvelope(magnitude, 1.03e-309)
+        plan = solve_k_exact_h(envelope, 4, 6)
+        assert plan.clipped is clipped
+        assert len(steps) < bounds_planner._BISECTION_MAX_ITER
+        assert plan.bound == remainder_bound(envelope, 4, plan.h) and plan.bound <= plan.target
+        if not clipped:
+            assert abs(plan.bound - plan.target) <= 1e-3 * plan.target
 
     def test_invalid_envelope_and_args(self):
         with pytest.raises(ValueError):

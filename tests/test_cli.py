@@ -748,6 +748,25 @@ class TestThreadDeterminism:
         assert captured.out == ""
         assert captured.err == f"error: BLEND_THREADS must be an integer >= 0, got {value!r}\n"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("diff", "sin", "--h0", "1.0"),
+            ("direction", "--a", "1", "--theta", "1", "--v", "1", "--h0", "1.0", "--n-max", "2"),
+            ("queue", "--h0", "0.5"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_thread_budget_is_read_once_per_command(self, capsys, monkeypatch, args):
+        # The command reads BLEND_THREADS once and hands the budget to every attempt of its run.
+        calls = []
+        for module in (cli, blend.blend_driver, blend.series_core):
+            original = module._env_workers
+            monkeypatch.setattr(module, "_env_workers", lambda original=original: calls.append(1) or original())
+        assert main([*args, "--format", "json"]) in (0, 2)
+        assert json.loads(capsys.readouterr().out)["report"]["refinements"] > 0
+        assert len(calls) == 1
+
 
 class TestGoldenBytes:
     """SHA-256 of ``--format json`` stdout for commands whose bytes involve no numpy arithmetic.

@@ -38,7 +38,7 @@ from blend import (
     solve_k_exact_h,
     stencil_weights,
 )
-from blend.series_core import _rounding_floor
+from blend.series_core import _last_deltas, _rounding_floor
 
 
 class TestStencilWeights:
@@ -461,9 +461,9 @@ class TestExactReduction:
             assert all(math.isnan(d) for d in trace.deltas[3:])
 
 
-def _reference_floor(trace: PartialSumTrace) -> float:
+def _reference_floor(trace: PartialSumTrace, last: float) -> float:
     """u * sum_k |w_k| * |f_k| and u * sum_k |w_k| * |theta + k*h|, each exact and rounded once, then combined in floats."""
-    n = len(trace.deltas)
+    n = len(trace.cached_values) - 1
     magnitudes = [Fraction(abs(w)) for w in stencil_weights(n).weights]
 
     def rounded(xs) -> float:
@@ -476,7 +476,7 @@ def _reference_floor(trace: PartialSumTrace) -> float:
 
     values = 2.0**-53 * rounded(trace.cached_values)
     points = 2.0**-53 * rounded([trace.theta + k * trace.h for k in range(n + 1)])
-    return (values + points * abs(trace.deltas[-1])) / trace.h
+    return (values + points * abs(last)) / trace.h
 
 
 class TestRoundingFloor:
@@ -501,8 +501,92 @@ class TestRoundingFloor:
             # theta = 1e308 takes points, and the sum over them, past the float range.
             theta = 1e308 if rng.random() < 0.1 else rng.choice((rng.uniform(-3.0, 3.0), value()))
             h = 10.0 ** rng.choice((rng.uniform(-8.0, 0.0), rng.uniform(-300.0, 290.0)))
-            trace = PartialSumTrace(theta=theta, h=h, deltas=tuple(value() for _ in range(n)), cached_values=tuple(grid))
-            assert _outcome(lambda: [_rounding_floor(trace)]) == _outcome(lambda: [_reference_floor(trace)]), trace
+            trace, last = PartialSumTrace(theta=theta, h=h, cached_values=tuple(grid)), value()
+            assert _outcome(lambda: [_rounding_floor(trace, last)]) == _outcome(lambda: [_reference_floor(trace, last)]), (trace, last)
+
+
+def _trace_of(values, h: float) -> PartialSumTrace:
+    slots = iter(values)
+    return blend_partial_sums(FunctionOracle(lambda t: next(slots)), 0.0, h, len(values) - 1)
+
+
+class TestLazyDeltas:
+    """``deltas`` is summed on its first read; the driver's last two partial sums are summed on their own."""
+
+    def test_matches_delta_from_cache_and_the_last_two(self):
+        rng = random.Random(30)
+
+        def value():
+            kind = rng.random()
+            if kind < 0.3:
+                return math.sin(rng.uniform(-4.0, 4.0))
+            if kind < 0.4:
+                return rng.choice((0.0, -0.0))
+            if kind < 0.55:
+                return rng.choice((-1.0, 1.0)) * 5e-324 * rng.randrange(1, 1 << 40)  # subnormal
+            if kind < 0.7:
+                return rng.choice((-1.0, 1.0)) * rng.uniform(1e307, 1.79e308)
+            if kind < 0.75:
+                return rng.choice((math.nan, math.inf, -math.inf))
+            return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+
+        for i in range(400):
+            n = rng.randint(1, ORDER_CAP)
+            if i % 8 == 0:
+                values = [Fraction(rng.randint(-(10**9), 10**9), rng.randint(1, 10**9)) for _ in range(n + 1)]
+            else:
+                values = [value() for _ in range(n + 1)]
+            h = 10.0 ** rng.uniform(-8.0, 2.0)
+            expected = [delta_from_cache(stencil_weights(k), values, h) for k in range(1, n + 1)]
+            # The table read alone, and after the last two were summed.
+            for last_first in (False, True):
+                trace = _trace_of(values, h)
+                last = _outcome(lambda: _last_deltas(trace)) if last_first else None
+                deltas = trace.deltas
+                assert _outcome(lambda: deltas) == _outcome(lambda: expected), (values, h)
+                assert list(map(type, deltas)) == list(map(type, expected))
+                assert _outcome(lambda: _last_deltas(trace)) == _outcome(lambda: deltas[-2:])
+                if last_first:
+                    assert last == _outcome(lambda: deltas[-2:])
+
+    def test_run_blend_sweeps_only_when_the_table_is_read(self, monkeypatch):
+        tops = []
+        sweep = blend.series_core._sweep
+        monkeypatch.setattr(blend.series_core, "_sweep", lambda grid, orders: tops.append(len(orders)) or sweep(grid, orders))
+        report = run_blend(FunctionOracle(math.sin), 0.7, BlendConfig(h0=1.0, n_max=12, min_agree_digits=12))
+        assert report.refinements > 0
+        value = report.value
+        assert tops == []
+        deltas = report.trace.deltas
+        assert tops == [10]  # orders 1..N_max-2: the last two were summed by the run
+        assert report.trace.deltas is deltas and deltas[-1] == value and tops == [10]
+        assert blend_partial_sums(FunctionOracle(math.sin), 0.7, 0.1, 12).deltas and tops == [10, 12]
+
+    def test_threads_reading_one_trace_get_one_tuple(self):
+        values = [math.sin(0.1 * k) for k in range(ORDER_CAP + 1)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                trace = _trace_of(values, 0.1)
+                barrier = threading.Barrier(8)
+                tables, lasts = [], []
+
+                def read(i):
+                    barrier.wait(5)
+                    (tables if i % 2 else lasts).append(trace.deltas if i % 2 else _last_deltas(trace))
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(tables) == len(lasts) == 4
+                assert all(table is tables[0] for table in tables) and trace.deltas is tables[0]
+                assert all(last == tables[0][-2:] for last in lasts)
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestParallelism:
