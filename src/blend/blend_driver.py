@@ -122,7 +122,8 @@ class BlendReport:
     The final step is ``trace.h``, which equals
     h0 * H_SHRINK_FACTOR**refinements exactly.  ``value`` is the sum the run
     compared, so reading it sums nothing; ``trace.deltas``, the table of all
-    orders, is summed on its first read.
+    orders, sums the orders below that pair on its first read, one row sum
+    each.
     """
 
     agreed_digits: int
@@ -149,8 +150,9 @@ def run_blend(
     The report's ``value`` is the last partial sum of the final attempt as
     computed, and ``agreed_digits`` the number of leading digits it shares
     with the one before.  An attempt sums only those two partial sums (and
-    the rounding floor, when it needs it): no attempt sweeps the table of
-    all orders, which the final trace sums when its ``deltas`` is read.
+    the rounding floor, when it needs it): no attempt sums the table of all
+    orders.  The final trace sums the orders below the pair, one row sum
+    each, when its ``deltas`` is read.
     With ``max_workers`` None, the BLEND_THREADS budget is read once per
     run, and every attempt takes it.
 

@@ -88,26 +88,28 @@ def remainder_bound(envelope: GrowthEnvelope, n: int, h: float, formula: str = "
     "lemma2" is the provable bound (it carries the remainder's 1/h
     prefactor); "eq12" is the circulated display without it, kept for
     reproducing the classical worked example.  Returns ``math.inf`` outside
-    the open domain h < 1/(2*b*e).  See the module docstring.
+    the open domain h < 1/(2*b*e).  See the module docstring.  The order
+    must lie within the float range, as the formulas take it as a float.
     """
-    _integer(n, "order", 1)
+    if _integer(n, "order", 1) > sys.float_info.max:
+        raise ValueError(f"order must lie within the float range, got {n!r}")
     h = _check_step(h)
     return _remainder_bound(envelope, n, h, _check_formula(formula))
 
 
 def _remainder_bound(envelope: GrowthEnvelope, n: int, h: float, formula: str) -> float:
-    # remainder_bound on checked arguments: an int n >= 1, a positive finite
-    # float h and a known formula.
+    # remainder_bound on checked arguments: an int n >= 1 within the float
+    # range, a positive finite float h and a known formula.
     # 2*b is exact and finite (the envelope refuses a b for which 2*b*e
     # overflows), so h * (2*b) is 2*h*b rounded once, as (2*h) * b is
     # whenever 2*h is finite, and it overflows only where x >= 1.
     x = h * (2.0 * envelope.growth) * math.e
     if x >= 1.0:
         return math.inf
-    if formula == "lemma2":
-        denom = (n + 1) ** 1.5 * h
-    else:
-        denom = 2.0 ** ((n + 1) / 2.0)
+    try:
+        denom = (n + 1) ** 1.5 * h if formula == "lemma2" else 2.0 ** ((n + 1) / 2.0)
+    except OverflowError:  # a power past the float range: the logarithmic form below
+        denom = math.inf
     scale = math.sqrt(2.0 * math.pi) * denom
     bound = envelope.magnitude / scale * x ** (n + 1) / (1.0 - x)
     if math.isfinite(bound) and scale < math.inf:

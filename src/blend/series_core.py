@@ -29,29 +29,25 @@ float range gives NaN.  Grids of other numeric types (exact rationals,
 multi-precision floats) take the exact row in Neumaier order.  An order that
 reaches a non-finite float gives NaN.
 
-A :class:`PartialSumTrace` keeps the grid values and sums them when they are
+Over a float grid each sum is one dot product, :func:`_dot`, of a row in
+fixed point against the grid: a partial sum takes the cached stencil row of
+its order, so the table of orders 1..N is N row sums.  A
+:class:`PartialSumTrace` keeps the grid values and sums them when they are
 read, against the grid in fixed point, which it makes once and shares among
-all its reductions.  ``run_blend`` reads only the last two partial sums of
-each attempt, two single rows (:func:`_last_deltas`), and, when the pair is
-not settled, the rounding floor, whose sum over |f_k| takes the trace's
-fixed-point grid with its signs dropped.  The table ``deltas`` comes from one
-sweep (Kronecker substitution) on its first read: the stencil rows are packed
-column-wise, one big integer per grid slot with each order in its own slot of
-bits, so the sweep of orders 1..N is N + 1 products of a grid integer by a
-packed column and N divisions, one per order.  It sweeps orders 1..N_max, or
-1..N_max-2 once the last two are known.  The packed columns are cached for the
-last 32 pairs of top order and slot width.  A single row, as in
-:func:`delta_from_cache`, :func:`operator_power`, :func:`_last_deltas` and
-:func:`_rounding_floor`, takes one dot product, :func:`_dot`; the floor's row
-is the cached float row with its signs dropped.
+all its reductions; it sums each order once, whichever is read first.
+``run_blend`` reads only the last two partial sums of each attempt
+(:func:`_last_deltas`) and, when the pair is not settled, the rounding
+floor, whose row is the cached float row with its signs dropped and whose
+sum over |f_k| takes the trace's fixed-point grid with its signs dropped.
+The table ``deltas`` then sums only the orders below the pair.
 
 Arguments are checked at the public functions, once per call: the order and
 the step by :func:`_check_order` and :func:`_check_step`, the worker budget
 when a grid is evaluated, and theta where the grid points are formed, by
 :func:`_grid_points`, before any evaluation.  The loops below them (the
-serial grid, the sweep, the reduction) run on checked values: a serial grid
-calls ``oracle.evaluate`` once per slot in one loop, and a failing slot is
-named from the number of values already taken.
+serial grid, the reduction) run on checked values: a serial grid calls
+``oracle.evaluate`` once per slot in one loop, and a failing slot is named
+from the number of values already taken.
 """
 
 from __future__ import annotations
@@ -60,7 +56,6 @@ import math
 import operator
 import os
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -139,7 +134,7 @@ class StencilWeights:
 @lru_cache(maxsize=None)
 def _weight_row(n: int) -> StencilWeights:
     # Incremental construction: row N adds the order-N operator-power term to
-    # row N-1, so a sweep over N = 1..N_max costs one new row per step.  The
+    # row N-1, so the rows of N = 1..N_max cost one new row per order.  The
     # float conversion happens here, once per order.
     if n == 1:
         exact = (Fraction(1), Fraction(-1))
@@ -176,72 +171,6 @@ def _fixed_row(n: int) -> tuple[tuple[int, ...], int]:
     return _fixed_point(_weight_row(n).weights)
 
 
-def _quotient(num: int, den: int) -> float:
-    # One correctly rounded int / int; NaN past the float range.
-    try:
-        return num / den
-    except OverflowError:
-        return math.nan
-
-
-@lru_cache(maxsize=None)
-def _row_scales(top: int) -> tuple[int, tuple[int, ...]]:
-    """Bit length of max_n sum_k |r_nk|, and the denominators, of the fixed-point stencil rows n = 1..top."""
-    rows = [_fixed_row(n) for n in range(1, top + 1)]
-    return max(sum(map(abs, ints)) for ints, _ in rows).bit_length(), tuple([den for _, den in rows])
-
-
-# Packed columns are kept for 32 (top order, slot width) pairs at most.  An
-# entry holds about (top + 1) * top * width bytes: 31 KB for a sin grid at
-# order 40 (19-byte slots), 450 KB for the widest float grids (275 bytes).
-# One round of the benchmark's analytic workload uses 24-27 pairs.
-@lru_cache(maxsize=32)
-def _columns(top: int, width: int) -> tuple[tuple[int, ...], int]:
-    """Column k = 0..top of the fixed-point stencil rows 1..top, packed, and the bias.
-
-    Row n takes bytes (n - 1) * width onwards of each column, read
-    little-endian as a signed sum of slots.  The bias holds half a slot in
-    every slot, so that bias + sum_k g_k * column_k holds each row's sum
-    plus half a slot in the row's own slot, as long as every such sum, and
-    every r_nk, lies within half a slot.
-    """
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * top, "little")
-    rows = [_fixed_row(n)[0] for n in range(1, top + 1)]
-
-    def column(k: int) -> int:
-        slots = b"".join(((r[k] if k < len(r) else 0) + half).to_bytes(width, "little") for r in rows)
-        return int.from_bytes(slots, "little") - bias
-
-    return tuple(map(column, range(top + 1))), bias
-
-
-def _sweep(grid: tuple[tuple[int, ...], int], orders: range) -> list[float]:
-    """sum_k r_nk * g_k / (den_n * den), for the fixed-point stencil rows n = 1..top, against a fixed-point grid.
-
-    ``orders`` is range(1, top + 1).
-
-    Kronecker substitution: each grid integer g_k is multiplied once by
-    column k, and the products are summed, so every order's exact sum lands
-    in its own slot.  A slot is wide enough for any such sum: the bit length
-    of max_n sum_k |r_nk|, plus that of max_k |g_k|, plus 2, in whole bytes.
-    Each sum is read back and rounded once, by the division of
-    :func:`_dot`, so the bits are those of one row sum per order.
-    """
-    ints, den = grid
-    top = len(orders)
-    bits, dens = _row_scales(top)
-    width = (bits + max(map(abs, ints)).bit_length() + 2 + 7) // 8
-    columns, bias = _columns(top, width)
-    packed = (sum(map(operator.mul, ints, columns)) + bias).to_bytes(top * width, "little")
-    half = 1 << (8 * width - 1)
-    slots = range(0, top * width, width)
-    try:
-        return [(int.from_bytes(packed[i : i + width], "little") - half) / (d * den) for i, d in zip(slots, dens)]
-    except OverflowError:  # a sum beyond the float range, which _quotient makes NaN
-        return [_quotient(int.from_bytes(packed[i : i + width], "little") - half, d * den) for i, d in zip(slots, dens)]
-
-
 def _neumaier(terms) -> object:
     # Generic compensated accumulation for non-float numerics (exact rationals,
     # multi-precision floats).  Fixed iteration order.
@@ -273,27 +202,6 @@ def _prepare(values: Sequence) -> tuple:
     return values, fixed, finite, _fixed_point(values[:fixed])
 
 
-def _reduce(grid: tuple, orders: Sequence[int], fixed_sums, exact_row) -> list:
-    """sum_k row_k * values[k], k = 0..n, for each order n of ``orders``, in increasing order.
-
-    ``grid`` is :func:`_prepare` of the values, made once for all the
-    reductions of a grid.  The first orders, whose slots all hold finite
-    floats, take ``fixed_sums(point, those orders)``: each sum is exact in
-    integers and rounded once, NaN past the float range.  An order that
-    reaches a non-finite float gives NaN.  Other orders take
-    ``exact_row(n)`` in Neumaier order.
-    """
-    values, fixed, finite, point = grid
-    if fixed == len(values):  # every order takes fixed_sums
-        return fixed_sums(point, orders)
-    m = bisect_left(orders, fixed)
-    sums = fixed_sums(point, orders[:m]) if m else []
-    return sums + [
-        math.nan if n >= finite else _neumaier(map(operator.mul, exact_row(n), values))
-        for n in orders[m:]
-    ]
-
-
 def _dot(point: tuple[tuple[int, ...], int], row: tuple[tuple[int, ...], int]) -> float:
     # One row sum over a fixed-point grid, exact and rounded once, NaN past
     # the float range; the shorter of the two sets the slots summed.
@@ -303,8 +211,23 @@ def _dot(point: tuple[tuple[int, ...], int], row: tuple[tuple[int, ...], int]) -
         return math.nan
 
 
-def _dots(point: tuple[tuple[int, ...], int], orders: Sequence[int]) -> list[float]:
-    return [_dot(point, _fixed_row(n)) for n in orders]
+def _reduce(grid: tuple, orders: Iterable[int], fixed_row, exact_row) -> list:
+    """sum_k row_k * values[k], k = 0..n, for each order n of ``orders``, in the order given.
+
+    ``grid`` is :func:`_prepare` of the values, made once for all the
+    reductions of a grid.  An order whose slots all hold finite floats takes
+    its row in fixed point, ``fixed_row(n)``, by one :func:`_dot`: the sum
+    is exact in integers and rounded once, NaN past the float range.  An
+    order that reaches a non-finite float gives NaN.  Other orders take
+    ``exact_row(n)`` in Neumaier order.
+    """
+    values, fixed, finite, point = grid
+    return [
+        _dot(point, fixed_row(n)) if n < fixed
+        else math.nan if n >= finite
+        else _neumaier(map(operator.mul, exact_row(n), values))
+        for n in orders
+    ]
 
 
 def _exact_row(n: int) -> tuple[Fraction, ...]:
@@ -318,21 +241,22 @@ def _row_sum(grid: tuple, row: tuple[tuple[int, ...], int], exact: Sequence) -> 
     the sum is exact in integers and rounded once, NaN past the float range.
     Other grids take ``exact`` as it is.
     """
-    return _reduce(grid, (len(grid[0]) - 1,), lambda point, _: [_dot(point, row)], lambda _: exact)[0]
+    return _reduce(grid, (len(grid[0]) - 1,), lambda _: row, lambda _: exact)[0]
 
 
 def _last_deltas(trace: PartialSumTrace) -> tuple[float, ...]:
     """(Delta(N-1), Delta(N)) at the trace's top order N, or (Delta(1),) at N = 1.
 
-    Two row sums of the trace's grid, kept on the trace, with the bits the
-    sweep of :attr:`PartialSumTrace.deltas` gives these orders; a later read
-    of ``deltas`` sweeps only the orders below them.
+    The last two entries of ``deltas`` once the table is summed, and until
+    then two row sums of the trace's grid, kept on the trace: the sums that
+    :attr:`PartialSumTrace.deltas` takes for these orders, so a later read of
+    ``deltas`` sums only the orders below them.
     """
     cache = trace.__dict__
-    last = cache.get("_last")
-    if last is None:
+    last = cache.get("_last") or cache.get("_deltas", ())[-2:]
+    if not last:
         n, h = len(trace.cached_values) - 1, trace.h
-        sums = _reduce(trace._prepared(), range(max(n - 1, 1), n + 1), _dots, _exact_row)
+        sums = _reduce(trace._prepared(), range(max(n - 1, 1), n + 1), _fixed_row, _exact_row)
         last = cache.setdefault("_last", tuple([-s / h for s in sums]))
     return last
 
@@ -397,11 +321,12 @@ def operator_power(
 class PartialSumTrace:
     """The grid values phi(theta + k*h), k = 0..N_max, and their partial sums Delta(1,h)..Delta(N_max,h).
 
-    ``deltas`` is summed on its first read and kept: one sweep of the grid
-    (only of orders 1..N_max-2 once :func:`_last_deltas` has summed the top
-    two orders, as ``run_blend`` does on every attempt).  Threads that read
-    it at once all receive the one tuple stored first.  The grid is put in
-    fixed point once, and every reduction of the trace shares it.
+    ``deltas`` is summed on its first read and kept: one row sum per order,
+    of orders 1..N_max, or only of orders 1..N_max-2 once :func:`_last_deltas`
+    has summed the top two, as ``run_blend`` does on every attempt, so each
+    order is summed once.  Threads that read it at once all receive the one
+    tuple stored first.  The grid is put in fixed point once, and every
+    reduction of the trace shares it.
 
     ``deltas[N-1]`` is recomputable bit-identically from ``cached_values`` and
     ``stencil_weights(N)`` alone via :func:`delta_from_cache`: both reduce
@@ -426,7 +351,7 @@ class PartialSumTrace:
         if deltas is None:
             h, last = self.h, cache.get("_last", ())
             top = len(self.cached_values) - 1 - len(last)
-            sums = _reduce(self._prepared(), range(1, top + 1), _sweep, _exact_row) if top > 0 else []
+            sums = _reduce(self._prepared(), range(1, top + 1), _fixed_row, _exact_row)
             deltas = cache.setdefault("_deltas", tuple([-s / h for s in sums]) + last)
         return deltas
 

@@ -171,6 +171,39 @@ class TestRemainderBound:
             expected = float(mp.mpf(magnitude) / (mp.sqrt(2 * mp.pi) * denom) * x ** (n + 1) / (1 - x))
         assert remainder_bound(GrowthEnvelope(magnitude, growth), n, h, formula) == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "formula, magnitude, n, h",
+        [
+            ("eq12", 1.0, 3000, 0.1),  # 2**((N+1)/2) overflows
+            ("eq12", 1e300, 2100, 0.18),  # so does 2**((N+1)/2), but the bound is a normal double
+            ("lemma2", 1.0, 10**250, 0.1),  # (N+1)**1.5 overflows
+            ("eq12", 1.0, int(sys.float_info.max), 0.1),
+            ("lemma2", 1.0, int(sys.float_info.max), 0.1),
+        ],
+        ids=["eq12-3000", "eq12-2100", "lemma2-1e250", "eq12-float-max", "lemma2-float-max"],
+    )
+    def test_order_whose_denominator_overflows_matches_high_precision(self, formula, magnitude, n, h):
+        # The denominator overflows in doubles, and the bound is the
+        # formula's value, as its logarithmic form gives it.
+        with mp.workdps(40):
+            x = 2 * mp.mpf(h) * mp.e
+            denom = mp.mpf(n + 1) ** mp.mpf("1.5") * mp.mpf(h) if formula == "lemma2" else mp.mpf(2) ** (mp.mpf(n + 1) / 2)
+            expected = float(mp.mpf(magnitude) / (mp.sqrt(2 * mp.pi) * denom) * x ** (n + 1) / (1 - x))
+        bound = remainder_bound(GrowthEnvelope(magnitude, 1.0), n, h, formula)
+        assert bound == pytest.approx(expected, rel=1e-10, abs=0.0)
+        plan = solve_k_exact_h(GrowthEnvelope(magnitude, 1.0), n, 5, formula)
+        assert plan.clipped and plan.bound < plan.target
+
+    @pytest.mark.parametrize("formula", BOUND_FORMULAS)
+    @pytest.mark.parametrize("n", [10**400, 2**1024], ids=["1e400", "2**1024"])
+    def test_order_beyond_the_float_range_is_named(self, formula, n):
+        envelope = GrowthEnvelope(1.0, 1.0)
+        message = re.escape(f"order must lie within the float range, got {n!r}")
+        with pytest.raises(ValueError, match=message):
+            remainder_bound(envelope, n, 0.1, formula)
+        with pytest.raises(ValueError, match=message):
+            solve_k_exact_h(envelope, n, 5, formula)
+
     def test_bad_arguments(self):
         envelope = GrowthEnvelope(1.0, 1.0)
         with pytest.raises(ValueError):

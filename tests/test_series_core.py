@@ -384,8 +384,8 @@ class TestExactReduction:
     @example(values=[0.1, 0.2, math.nan, 0.4, 0.5], h=0.1)
     @example(values=[k * k for k in range(ORDER_CAP + 1)], h=0.5)
     @example(values=[Fraction(k * k, 3) for k in range(7)], h=0.25)
-    @example(values=[5e-324 if k % 2 == 0 else 1.7e308 for k in range(ORDER_CAP + 1)], h=0.1)  # 2200-bit slots
-    @example(values=[math.nan if k == 30 else math.sin(0.1 * k) for k in range(ORDER_CAP + 1)], h=0.1)  # orders 1-29 swept
+    @example(values=[5e-324 if k % 2 == 0 else 1.7e308 for k in range(ORDER_CAP + 1)], h=0.1)  # 2098-bit fixed-point integers
+    @example(values=[math.nan if k == 30 else math.sin(0.1 * k) for k in range(ORDER_CAP + 1)], h=0.1)  # orders 1-29 exact in integers, 30-40 NaN
     @settings(max_examples=300, deadline=None)
     def test_matches_exact_reference(self, values, h):
         n_max = len(values) - 1
@@ -398,7 +398,7 @@ class TestExactReduction:
             slots = iter(values)
             return blend_partial_sums(FunctionOracle(lambda t: next(slots)), 0.0, h, n_max).deltas
 
-        # The sweep raises what the first failing order raises, if any order does.
+        # The table raises what the first failing order raises, if any order does.
         failure = next((e for e in expected if isinstance(e, tuple)), None)
         assert _outcome(sweep) == (failure or [bits for (bits,) in expected])
 
@@ -407,26 +407,6 @@ class TestExactReduction:
         powers = [_outcome(lambda n=n: [operator_power(oracle, 0.0, h, n, cache=values)]) for n in orders]
         assert powers == [_outcome(lambda n=n: [_reference_power(n, values)]) for n in orders]
         assert oracle.eval_count == 0
-
-    def test_column_cache_keeps_to_its_bound(self):
-        # The smallest value of each grid sets its common denominator, so each
-        # grid needs slots one byte wider than the last: 40 widths, more than
-        # the cache holds, swept twice in the same order, so that every entry
-        # is evicted before it is asked for again.
-        grids = [[2.0 ** (-8 * j)] + [1.0 + k / 7 for k in range(1, 13)] for j in range(7, 47)]
-        columns = blend.series_core._columns
-        columns.cache_clear()
-
-        def sweep(values):
-            slots = iter(values)
-            return blend_partial_sums(FunctionOracle(lambda t: next(slots)), 0.0, 0.1, len(values) - 1).deltas
-
-        first = [_outcome(lambda v=v: sweep(v)) for v in grids]
-        again = [_outcome(lambda v=v: sweep(v)) for v in grids]
-        info = columns.cache_info()
-        assert info.misses == 2 * len(grids) and info.hits == 0
-        assert info.currsize == info.maxsize < len(grids)
-        assert first == again == [_outcome(lambda v=v: [_reference_delta(n, v, 0.1) for n in range(1, 13)]) for v in grids]
 
     def test_custom_row_is_reduced_as_given(self):
         # delta_from_cache reduces the row it is handed, not the cached row of its order.
@@ -549,18 +529,30 @@ class TestLazyDeltas:
                 if last_first:
                     assert last == _outcome(lambda: deltas[-2:])
 
-    def test_run_blend_sweeps_only_when_the_table_is_read(self, monkeypatch):
-        tops = []
-        sweep = blend.series_core._sweep
-        monkeypatch.setattr(blend.series_core, "_sweep", lambda grid, orders: tops.append(len(orders)) or sweep(grid, orders))
+    def test_run_blend_sums_the_table_only_when_it_is_read(self, monkeypatch):
+        # The orders of the stencil-row sums: each _dot whose row is the cached
+        # fixed-point row of its order (the floor's row has its signs dropped).
+        orders = []
+        fixed_row, dot = blend.series_core._fixed_row, blend.series_core._dot
+
+        def counted(point, row):
+            if row is fixed_row(len(row[0]) - 1):
+                orders.append(len(row[0]) - 1)
+            return dot(point, row)
+
+        monkeypatch.setattr(blend.series_core, "_dot", counted)
         report = run_blend(FunctionOracle(math.sin), 0.7, BlendConfig(h0=1.0, n_max=12, min_agree_digits=12))
         assert report.refinements > 0
         value = report.value
-        assert tops == []
+        assert orders == [11, 12] * (report.refinements + 1)  # two rows per attempt, none more
+        orders.clear()
         deltas = report.trace.deltas
-        assert tops == [10]  # orders 1..N_max-2: the last two were summed by the run
-        assert report.trace.deltas is deltas and deltas[-1] == value and tops == [10]
-        assert blend_partial_sums(FunctionOracle(math.sin), 0.7, 0.1, 12).deltas and tops == [10, 12]
+        assert orders == list(range(1, 11))  # orders 1..N_max-2: the last two were summed by the run
+        assert report.trace.deltas is deltas and deltas[-1] == value and orders == list(range(1, 11))
+        orders.clear()
+        trace = blend_partial_sums(FunctionOracle(math.sin), 0.7, 0.1, 12)
+        assert trace.deltas and orders == list(range(1, 13))
+        assert _last_deltas(trace) == trace.deltas[-2:] and orders == list(range(1, 13))  # read from the table
 
     def test_threads_reading_one_trace_get_one_tuple(self):
         values = [math.sin(0.1 * k) for k in range(ORDER_CAP + 1)]
