@@ -37,7 +37,6 @@ from .oracle import FunctionOracle
 from .series_core import (
     ORDER_CAP,
     PartialSumTrace,
-    _env_workers,
     _grid_points,
     _integer,
     _last_deltas,
@@ -153,8 +152,9 @@ def run_blend(
     the rounding floor, when it needs it): no attempt sums the table of all
     orders.  The final trace sums the orders below the pair, one row sum
     each, when its ``deltas`` is read.
-    With ``max_workers`` None, the BLEND_THREADS budget is read once per
-    run, and every attempt takes it.
+    Every attempt takes the worker budget ``max_workers``; None, the
+    default, means serial grids, as 0 does, and no environment variable is
+    read.
 
     Each attempt performs exactly n_max + 1 fresh oracle evaluations, except
     that an attempt whose top grid point theta + n_max*h overflows to +inf is
@@ -191,7 +191,6 @@ def run_blend(
     again, as a public call does.
     """
     start_count = oracle.eval_count
-    workers = _env_workers() if max_workers is None else max_workers
     for attempt in range(config.max_h_refinements + 1):
         h = config.h0 * H_SHRINK_FACTOR**attempt
         last_step = attempt == config.max_h_refinements or config.h0 * H_SHRINK_FACTOR ** (attempt + 1) == 0.0
@@ -200,7 +199,7 @@ def run_blend(
         # can form; an mpf theta beyond the float range is no float and stays.
         if points[-1] == math.inf and not last_step:
             continue
-        trace = blend_partial_sums(oracle, theta, h, config.n_max, max_workers=workers)
+        trace = blend_partial_sums(oracle, theta, h, config.n_max, max_workers=max_workers)
         previous, last = _last_deltas(trace)
         # Two of the points round alike: a smaller step only collapses more.
         collapsed = len(set(points)) <= config.n_max

@@ -307,7 +307,7 @@ def cmd_tables(which, fmt, out_path):
     Every cell is tagged match/mismatch against the embedded published value;
     the notes record the step reinterpretations and known inconsistencies.
     """
-    _check_threads()
+    workers = _check_threads()
     if which == "all":
         numbers = sorted(TABLES)
     else:
@@ -317,7 +317,7 @@ def cmd_tables(which, fmt, out_path):
             raise _UsageError(f"WHICH must be 1-5 or 'all', got {which!r}") from None
         if numbers[0] not in TABLES:
             raise _UsageError(f"no reference table {numbers[0]}; choose 1-5 or 'all'")
-    tables = [generate_table(number) for number in numbers]
+    tables = [generate_table(number, max_workers=workers) for number in numbers]
     payload = {"command": "tables", "tables": tables}
     _emit(payload, fmt, out_path, lambda p: [{"table": t["table"], **row} for t in p["tables"] for row in t["rows"]])
     return EXIT_OK
@@ -367,9 +367,9 @@ _OUTPUT_OPTIONS = (
 )
 _DRIVER_OPTIONS = (
     ("--h0", {"type": float, "default": 0.01, "help": "Initial step size."}),
-    ("--n-max", {"type": _IntRange(2, ORDER_CAP), "default": 8, "help": "Truncation order."}),
-    ("--refinements", {"type": _IntRange(0), "default": 8, "help": "Maximum step refinements."}),
-    ("--min-digits", {"type": _IntRange(1, PRECISION_CAP), "default": 2, "help": "Digits of agreement required to stabilize."}),
+    ("--n-max", {"type": _IntRange(2, ORDER_CAP), "default": BlendConfig.n_max, "help": "Truncation order."}),
+    ("--refinements", {"type": _IntRange(0), "default": BlendConfig.max_h_refinements, "help": "Maximum step refinements."}),
+    ("--min-digits", {"type": _IntRange(1, PRECISION_CAP), "default": BlendConfig.min_agree_digits, "help": "Digits of agreement required to stabilize."}),
 )
 
 #: Command name -> (function, arguments).

@@ -186,16 +186,18 @@ def _experiment(number: int) -> tuple[FunctionOracle, float, float]:
     raise ValueError(f"no reference table {number}")
 
 
-def generate_table(number: int) -> dict:
+def generate_table(number: int, max_workers: int | None = None) -> dict:
     """Regenerate one table and audit it against the stored expectations.
 
     One fixed-step run, as in the published experiments (no refinement): its
-    trace supplies the rows, so every grid point is evaluated once.
+    trace supplies the rows, so every grid point is evaluated once.  The run
+    takes the worker budget ``max_workers`` (None: serial), which changes no
+    bit of the table.
     """
     spec = TABLES[number]
     oracle, theta, reference = _experiment(number)
     config = BlendConfig(h0=spec.regeneration_h, n_max=N_MAX, max_h_refinements=0)
-    report = run_blend(oracle, theta, config)
+    report = run_blend(oracle, theta, config, max_workers=max_workers)
     rows = []
     for i, expected in enumerate(spec.published_rows):
         computed = report.trace.deltas[i]

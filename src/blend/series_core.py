@@ -297,8 +297,8 @@ def operator_power(
 ) -> object:
     """(J - T_h)^n phi(theta) = sum_k (-1)^k C(n,k) phi(theta + k*h), by the grid kernel.
 
-    Consumes exactly n+1 fresh oracle evaluations, made like the grid of
-    :func:`blend_partial_sums`, or none when ``cache`` (pre-evaluated
+    Consumes exactly n+1 fresh oracle evaluations, made like the serial grid
+    of :func:`blend_partial_sums`, or none when ``cache`` (pre-evaluated
     phi(theta + k*h) for k = 0..n, in slot order) is supplied.
     The integer binomial row is reduced like a stencil row: against a float
     grid the sum is exact and rounded once, so on a constant the row cancels
@@ -404,6 +404,9 @@ def _evaluate_at(oracle: FunctionOracle, point, k: int):
 def _env_workers() -> int:
     """The worker budget set by the BLEND_THREADS environment variable (unset: 0).
 
+    Only the command line calls it, once per command; a library call takes
+    its budget as ``max_workers`` and reads no environment.
+
     Raises ValueError, naming the variable and its value, unless the value
     is an integer >= 0.
     """
@@ -419,7 +422,7 @@ def _env_workers() -> int:
 
 
 def _evaluate_grid(oracle: FunctionOracle, theta, h: float, n_max: int, max_workers: int | None) -> list:
-    workers = _env_workers() if max_workers is None else _integer(max_workers, "max_workers", 0)
+    workers = 0 if max_workers is None else _integer(max_workers, "max_workers", 0)
     points = _grid_points(theta, h, n_max)
     if oracle.batch is None:
         return _evaluate_points(oracle, points, workers)
@@ -568,9 +571,10 @@ def blend_partial_sums(
     ``batch`` receives the whole grid in one :meth:`FunctionOracle.evaluate_many`
     call, and the worker budget does not apply to it.  Other oracles'
     evaluations run concurrently when the oracle declares ``parallel_safe``
-    and the worker budget (``max_workers``, defaulting to the BLEND_THREADS
-    environment variable) exceeds one: the calling thread evaluates slots
-    side by side with up to ``min(workers, n_max + 1) - 1`` helper threads.
+    and the worker budget ``max_workers`` exceeds one (None, the default, and
+    0 mean a serial grid; no environment variable is read): the calling
+    thread evaluates slots side by side with up to
+    ``min(max_workers, n_max + 1) - 1`` helper threads.
     The helpers are daemon threads named ``blend-grid``, started by the first
     such grid and kept for the life of the process, so no grid starts a
     thread of its own.  Results are deposited into slot k and the reduction

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import blend
 from blend import (
     BlendConfig,
     BlendReport,
@@ -249,16 +248,6 @@ class TestRunBlend:
         # attempt runs (and, at 53 bits, its points collapse).
         report = run_blend(FunctionOracle(lambda t: t), mp.mpf("1e400"), BlendConfig(h0=1.0, max_h_refinements=3))
         assert (report.refinements, report.eval_count) == (0, 9)
-
-    def test_worker_budget_is_read_once_per_run(self, monkeypatch):
-        # BLEND_THREADS is read once, and every attempt takes that budget.
-        calls = []
-        for module in (blend.blend_driver, blend.series_core):
-            original = module._env_workers
-            monkeypatch.setattr(module, "_env_workers", lambda original=original: calls.append(1) or original())
-        report = run_blend(FunctionOracle(math.sin), 0.0, BlendConfig(h0=1.0))
-        assert report.refinements > 0
-        assert len(calls) == 1
 
     def test_exhausted_refinements_reports_failure(self):
         oracle = FunctionOracle(lambda t: math.inf if t != 0.0 else 0.0)

@@ -754,17 +754,19 @@ class TestThreadDeterminism:
             ("diff", "sin", "--h0", "1.0"),
             ("direction", "--a", "1", "--theta", "1", "--v", "1", "--h0", "1.0", "--n-max", "2"),
             ("queue", "--h0", "0.5"),
+            ("tables", "all"),
         ],
         ids=lambda args: args[0],
     )
     def test_thread_budget_is_read_once_per_command(self, capsys, monkeypatch, args):
-        # The command reads BLEND_THREADS once and hands the budget to every attempt of its run.
+        # The command reads BLEND_THREADS once and hands the budget to every
+        # attempt of its run, or to every table's run; the library reads none.
         calls = []
-        for module in (cli, blend.blend_driver, blend.series_core):
-            original = module._env_workers
-            monkeypatch.setattr(module, "_env_workers", lambda original=original: calls.append(1) or original())
+        original = cli._env_workers
+        monkeypatch.setattr(cli, "_env_workers", lambda: calls.append(1) or original())
         assert main([*args, "--format", "json"]) in (0, 2)
-        assert json.loads(capsys.readouterr().out)["report"]["refinements"] > 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["tables"]) == 5 if args[0] == "tables" else payload["report"]["refinements"] > 0
         assert len(calls) == 1
 
 

@@ -157,6 +157,15 @@ def parse(parser: cli._Parser, tokens: list[str]) -> str:
 # theta + 8h overflows to +inf at the first four steps, which run_blend skips.
 @example(argv=["diff", "sin", "--theta", "1e308", "--h0", "1e308"])
 @example(argv=["diff", "theta", "--theta", "1e308", "--h0", "1e308"])
+# Rates whose total outflow overflows (exit 64); the last attempt the budget
+# allows forms theta + 4h = inf, where sin raises (70); growths near and below
+# the smallest normal double, clipped (0) and refused (64), or far above one (0).
+@example(argv=["queue", "--mu1", "1e308", "--mu2", "1e308", "--cap1", "1", "--cap2", "1"])
+@example(argv=["queue", "--lambda", "1e308", "--mu1", "1e308", "--cap1", "1", "--cap2", "1"])
+@example(argv=["diff", "sin", "--theta", "1e308", "--h0", "1e308", "--refinements", "2"])
+@example(argv=["plan", "--M", "1", "--b", "1.03e-309", "--N", "4", "--K", "6"])
+@example(argv=["plan", "--M", "1", "--b", "1e-320", "--N", "4", "--K", "6"])
+@example(argv=["plan", "--M", "1e200", "--b", "1e120", "--N", "10", "--K", "5"])
 @settings(max_examples=500, deadline=None)
 def test_exit_code_contract(argv):
     code, out, err = run(argv, "0")

@@ -38,6 +38,7 @@ from blend import (
     solve_k_exact_h,
     stencil_weights,
 )
+from blend.reference_tables import generate_table
 from blend.series_core import _last_deltas, _rounding_floor
 
 
@@ -818,11 +819,23 @@ class TestParallelism:
             blend_partial_sums(oracle, 0.0, 0.1, 8, max_workers=workers)
         assert oracle.eval_count == 18
 
-    def test_env_variable_controls_default(self, monkeypatch):
-        monkeypatch.setenv("BLEND_THREADS", "notanumber")
+    def test_library_reads_no_environment(self, monkeypatch):
+        # max_workers is the library's only worker budget: None is a serial
+        # grid whatever BLEND_THREADS says, which only the command line reads.
+        posted = []
+        monkeypatch.setattr(blend.series_core, "_post", lambda grid, seats: posted.append(seats))
         oracle = FunctionOracle(math.sin, parallel_safe=True)
-        with pytest.raises(ValueError, match="BLEND_THREADS"):
-            blend_partial_sums(oracle, 0.0, 0.1, 2)
-        monkeypatch.setenv("BLEND_THREADS", "4")
-        trace = blend_partial_sums(oracle, 0.0, 0.1, 2)
-        assert len(trace.deltas) == 2
+        calls = (
+            lambda: blend_partial_sums(oracle, 0.0, 0.1, 8),
+            lambda: run_blend(oracle, 0.0, BlendConfig(h0=1.0)),
+            lambda: operator_power(oracle, 0.0, 0.1, 8),
+            lambda: generate_table(1),
+        )
+        for value in ("notanumber", "4"):
+            monkeypatch.setenv("BLEND_THREADS", value)
+            for call in calls:
+                call()
+        assert posted == []
+        # An explicit budget still takes helpers.
+        blend_partial_sums(oracle, 0.0, 0.1, 8, max_workers=4)
+        assert posted == [3]
