@@ -39,7 +39,6 @@ from .series_core import (
     PartialSumTrace,
     _grid_points,
     _integer,
-    _last_deltas,
     _real,
     _rounding_floor,
     blend_partial_sums,
@@ -120,9 +119,9 @@ class BlendReport:
     the rule makes for it: that many leading significant digits are settled.
     The final step is ``trace.h``, which equals
     h0 * H_SHRINK_FACTOR**refinements exactly.  ``value`` is the sum the run
-    compared, so reading it sums nothing; ``trace.deltas``, the table of all
-    orders, sums the orders below that pair on its first read, one row sum
-    each.
+    compared, kept on the trace, so reading it sums nothing; ``trace.deltas``,
+    the table of all orders, sums the orders below that pair on its first
+    read, one row sum each.
     """
 
     agreed_digits: int
@@ -134,7 +133,7 @@ class BlendReport:
     @property
     def value(self) -> float:
         """Delta(n_max, trace.h), the last partial sum the run computed."""
-        return _last_deltas(self.trace)[-1]
+        return self.trace._delta(len(self.trace.cached_values) - 1)
 
 
 def run_blend(
@@ -148,10 +147,11 @@ def run_blend(
 
     The report's ``value`` is the last partial sum of the final attempt as
     computed, and ``agreed_digits`` the number of leading digits it shares
-    with the one before.  An attempt sums only those two partial sums (and
-    the rounding floor, when it needs it): no attempt sums the table of all
-    orders.  The final trace sums the orders below the pair, one row sum
-    each, when its ``deltas`` is read.
+    with the one before.  An attempt reads only those two orders of its
+    trace, which sums each on its first read, and the rounding floor, when
+    it needs it: no attempt sums the table of all orders.  The final trace
+    sums the orders below the pair, one row sum each, when its ``deltas`` is
+    read.
     Every attempt takes the worker budget ``max_workers``; None, the
     default, means serial grids, as 0 does, and no environment variable is
     read.
@@ -200,7 +200,7 @@ def run_blend(
         if points[-1] == math.inf and not last_step:
             continue
         trace = blend_partial_sums(oracle, theta, h, config.n_max, max_workers=max_workers)
-        previous, last = _last_deltas(trace)
+        previous, last = trace._delta(config.n_max - 1), trace._delta(config.n_max)
         # Two of the points round alike: a smaller step only collapses more.
         collapsed = len(set(points)) <= config.n_max
         comparable = math.isfinite(previous) and math.isfinite(last) and not collapsed

@@ -20,26 +20,26 @@ would otherwise cancel catastrophically.
 
 Every weighted sum over a grid (the partial sums, :func:`delta_from_cache`,
 :func:`operator_power` and :func:`_rounding_floor`, the rounding floor at
-which ``run_blend`` stops) goes through one kernel, which reads the grid once.
+which ``run_blend`` stops) is one call of one single-row kernel,
+:func:`_sum`, over the grid as :func:`_prepare` reads it once.
 Every finite float is an integer over a power of two, so a float grid is
 written once as integers over one common denominator, and so is each float
 row (once per order).  Each product w_k * phi_k is then exact in integers, and
 each sum is rounded once, by a correctly rounded division; a sum beyond the
-float range gives NaN.  Grids of other numeric types (exact rationals,
+float range gives NaN.  Floats of any float type (``numpy.float64`` too)
+take this path.  Grids of other numeric types (exact rationals,
 multi-precision floats) take the exact row in Neumaier order.  An order that
 reaches a non-finite float gives NaN.
 
 Over a float grid each sum is one dot product, :func:`_dot`, of a row in
 fixed point against the grid: a partial sum takes the cached stencil row of
 its order, so the table of orders 1..N is N row sums.  A
-:class:`PartialSumTrace` keeps the grid values and sums them when they are
-read, against the grid in fixed point, which it makes once and shares among
-all its reductions; it sums each order once, whichever is read first.
-``run_blend`` reads only the last two partial sums of each attempt
-(:func:`_last_deltas`) and, when the pair is not settled, the rounding
+:class:`PartialSumTrace` owns its grid and its sums: it puts the grid in
+fixed point once, when it is made, and sums each order on its first read,
+whatever is read first, and keeps it.  ``run_blend`` reads only the last two
+orders of each attempt and, when the pair is not settled, the rounding
 floor, whose row is the cached float row with its signs dropped and whose
 sum over |f_k| takes the trace's fixed-point grid with its signs dropped.
-The table ``deltas`` then sums only the orders below the pair.
 
 Arguments are checked at the public functions, once per call: the order and
 the step by :func:`_check_order` and :func:`_check_step`, the worker budget
@@ -160,7 +160,8 @@ def stencil_weights(order_n: int) -> StencilWeights:
 def _fixed_point(xs: Iterable[float]) -> tuple[tuple[int, ...], int]:
     # Finite floats as integers over their largest denominator: xs[k] is
     # ints[k] / den exactly, since each denominator is a power of two.
-    ratios = [x.as_integer_ratio() for x in xs]
+    # float.as_integer_ratio is exact on a float of any subclass.
+    ratios = list(map(float.as_integer_ratio, xs))
     den = max([d for _, d in ratios], default=1)
     bits = den.bit_length()
     return tuple([m << (bits - d.bit_length()) for m, d in ratios]), den
@@ -188,18 +189,19 @@ def _neumaier(terms) -> object:
 
 
 def _prepare(values: Sequence) -> tuple:
-    """The grid as the kernel reads it: (values, fixed, finite, point).
+    """The grid as :func:`_sum` reads it: (values, floats, finite, point).
 
-    Slots below ``fixed`` hold finite floats, and ``point`` is that prefix
-    in fixed point; ``finite`` is the first slot that holds a non-finite
-    float.  Either index is len(values) when there is no such slot.
+    Slots below ``floats`` hold finite floats (of any float type, such as
+    ``numpy.float64``), and ``point`` is that prefix in fixed point;
+    ``finite`` is the first slot that holds a non-finite float.  Either
+    index is len(values) when there is no such slot.
     """
     end = len(values)
-    fixed = next((k for k, v in enumerate(values) if type(v) is not float or not math.isfinite(v)), end)
-    if fixed == end:  # a grid of finite floats, the common case
+    floats = next((k for k, v in enumerate(values) if not isinstance(v, float) or not math.isfinite(v)), end)
+    if floats == end:  # a grid of finite floats, the common case
         return values, end, end, _fixed_point(values)
-    finite = next((k for k, v in enumerate(values[fixed:], fixed) if type(v) is float and not math.isfinite(v)), end)
-    return values, fixed, finite, _fixed_point(values[:fixed])
+    finite = next((k for k, v in enumerate(values[floats:], floats) if isinstance(v, float) and not math.isfinite(v)), end)
+    return values, floats, finite, _fixed_point(values[:floats])
 
 
 def _dot(point: tuple[tuple[int, ...], int], row: tuple[tuple[int, ...], int]) -> float:
@@ -211,54 +213,18 @@ def _dot(point: tuple[tuple[int, ...], int], row: tuple[tuple[int, ...], int]) -
         return math.nan
 
 
-def _reduce(grid: tuple, orders: Iterable[int], fixed_row, exact_row) -> list:
-    """sum_k row_k * values[k], k = 0..n, for each order n of ``orders``, in the order given.
+def _sum(grid: tuple, n: int, fixed: tuple[tuple[int, ...], int], exact: Sequence) -> object:
+    """sum_k exact[k] * values[k], k = 0..n, over the grid ``grid``, :func:`_prepare` of the values.
 
-    ``grid`` is :func:`_prepare` of the values, made once for all the
-    reductions of a grid.  An order whose slots all hold finite floats takes
-    its row in fixed point, ``fixed_row(n)``, by one :func:`_dot`: the sum
-    is exact in integers and rounded once, NaN past the float range.  An
-    order that reaches a non-finite float gives NaN.  Other orders take
-    ``exact_row(n)`` in Neumaier order.
+    ``fixed`` is the row in fixed point.  When slots 0..n hold finite floats
+    it takes one :func:`_dot`: the sum is exact in integers and rounded
+    once, NaN past the float range.  When one of them holds a non-finite
+    float the sum is NaN.  Other grids take ``exact`` in Neumaier order.
     """
-    values, fixed, finite, point = grid
-    return [
-        _dot(point, fixed_row(n)) if n < fixed
-        else math.nan if n >= finite
-        else _neumaier(map(operator.mul, exact_row(n), values))
-        for n in orders
-    ]
-
-
-def _exact_row(n: int) -> tuple[Fraction, ...]:
-    return _weight_row(n).exact
-
-
-def _row_sum(grid: tuple, row: tuple[tuple[int, ...], int], exact: Sequence) -> object:
-    """sum_k exact[k] * values[k], k = 0..n, over a prepared grid of n + 1 values, by :func:`_reduce`.
-
-    ``row`` is ``exact`` in fixed point.  A grid of finite floats takes it:
-    the sum is exact in integers and rounded once, NaN past the float range.
-    Other grids take ``exact`` as it is.
-    """
-    return _reduce(grid, (len(grid[0]) - 1,), lambda _: row, lambda _: exact)[0]
-
-
-def _last_deltas(trace: PartialSumTrace) -> tuple[float, ...]:
-    """(Delta(N-1), Delta(N)) at the trace's top order N, or (Delta(1),) at N = 1.
-
-    The last two entries of ``deltas`` once the table is summed, and until
-    then two row sums of the trace's grid, kept on the trace: the sums that
-    :attr:`PartialSumTrace.deltas` takes for these orders, so a later read of
-    ``deltas`` sums only the orders below them.
-    """
-    cache = trace.__dict__
-    last = cache.get("_last") or cache.get("_deltas", ())[-2:]
-    if not last:
-        n, h = len(trace.cached_values) - 1, trace.h
-        sums = _reduce(trace._prepared(), range(max(n - 1, 1), n + 1), _fixed_row, _exact_row)
-        last = cache.setdefault("_last", tuple([-s / h for s in sums]))
-    return last
+    values, floats, finite, point = grid
+    if n < floats:
+        return _dot(point, fixed)
+    return math.nan if n >= finite else _neumaier(map(operator.mul, exact, values))
 
 
 def _rounding_floor(trace: PartialSumTrace, last: float) -> float:
@@ -277,13 +243,13 @@ def _rounding_floor(trace: PartialSumTrace, last: float) -> float:
     ints, den = _fixed_row(n)
     row = (tuple(map(abs, ints)), den)
     magnitudes = [abs(w) for w in _weight_row(n).weights]
-    cached, fixed, finite, point = trace._prepared()
-    if fixed == len(cached):
-        grid = cached, fixed, finite, (tuple(map(abs, point[0])), point[1])
+    cached, floats, finite, point = trace._grid
+    if floats == len(cached):
+        grid = cached, floats, finite, (tuple(map(abs, point[0])), point[1])
     else:
         grid = _prepare([abs(v) for v in cached])
-    values = 2.0**-53 * _row_sum(grid, row, magnitudes)
-    points = 2.0**-53 * _row_sum(_prepare([abs(x) for x in _grid_points(trace.theta, trace.h, n)]), row, magnitudes)
+    values = 2.0**-53 * _sum(grid, n, row, magnitudes)
+    points = 2.0**-53 * _sum(_prepare([abs(x) for x in _grid_points(trace.theta, trace.h, n)]), n, row, magnitudes)
     return (values + points * abs(last)) / trace.h
 
 
@@ -314,19 +280,20 @@ def operator_power(
     else:
         values = _evaluate_grid(oracle, theta, h, n, max_workers=None)
     row = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
-    return _row_sum(_prepare(values), (row, 1), row)
+    return _sum(_prepare(values), n, (row, 1), row)
 
 
 @dataclass(frozen=True)
 class PartialSumTrace:
     """The grid values phi(theta + k*h), k = 0..N_max, and their partial sums Delta(1,h)..Delta(N_max,h).
 
-    ``deltas`` is summed on its first read and kept: one row sum per order,
-    of orders 1..N_max, or only of orders 1..N_max-2 once :func:`_last_deltas`
-    has summed the top two, as ``run_blend`` does on every attempt, so each
-    order is summed once.  Threads that read it at once all receive the one
-    tuple stored first.  The grid is put in fixed point once, and every
-    reduction of the trace shares it.
+    The trace owns its sums.  It puts the grid in fixed point once, when it
+    is made, and every reduction of the trace shares it.  Each order is
+    summed on its first read, one row sum, and kept, whatever is read first:
+    ``run_blend`` reads only orders N_max-1 and N_max of each attempt, and
+    ``deltas``, the table of all orders, then sums only the orders below
+    them.  Threads that read the trace at once all receive the one value,
+    and the one ``deltas`` tuple, stored first.
 
     ``deltas[N-1]`` is recomputable bit-identically from ``cached_values`` and
     ``stencil_weights(N)`` alone via :func:`delta_from_cache`: both reduce
@@ -338,21 +305,25 @@ class PartialSumTrace:
     h: float
     cached_values: tuple[float, ...]
 
-    # The sums are kept in the instance __dict__, which a frozen dataclass
-    # leaves free; dict.setdefault stores one value however many threads race.
-    def _prepared(self) -> tuple:
-        grid = self.__dict__.get("_grid")
-        return grid if grid is not None else self.__dict__.setdefault("_grid", _prepare(self.cached_values))
+    # The grid and the sums are kept in the instance __dict__, which a frozen
+    # dataclass leaves free and which ==, hash and repr do not read;
+    # dict.setdefault stores one value however many threads race.
+    def __post_init__(self):
+        self.__dict__.update(_grid=_prepare(self.cached_values), _sums={})
+
+    def _delta(self, n: int) -> object:
+        """Delta(n, h), summed on its first read and kept."""
+        delta = self._sums.get(n)
+        if delta is None:
+            delta = self._sums.setdefault(n, -_sum(self._grid, n, _fixed_row(n), _weight_row(n).exact) / self.h)
+        return delta
 
     @property
     def deltas(self) -> tuple[float, ...]:
-        cache = self.__dict__
-        deltas = cache.get("_deltas")
+        deltas = self.__dict__.get("_deltas")
         if deltas is None:
-            h, last = self.h, cache.get("_last", ())
-            top = len(self.cached_values) - 1 - len(last)
-            sums = _reduce(self._prepared(), range(1, top + 1), _fixed_row, _exact_row)
-            deltas = cache.setdefault("_deltas", tuple([-s / h for s in sums]) + last)
+            table = tuple([self._delta(n) for n in range(1, len(self.cached_values))])
+            deltas = self.__dict__.setdefault("_deltas", table)
         return deltas
 
 
@@ -374,7 +345,7 @@ def delta_from_cache(weights: StencilWeights, cached_values: Sequence, h: float)
     # The cached row of stencil_weights(n) has its fixed-point form cached too.
     cached = type(n) is int and 0 < n <= ORDER_CAP and weights is _weight_row(n)
     row = _fixed_row(n) if cached else _fixed_point(map(float, weights.weights))
-    return -_row_sum(_prepare(cached_values[: n + 1]), row, weights.exact) / h
+    return -_sum(_prepare(cached_values[: n + 1]), n, row, weights.exact) / h
 
 
 def _grid_points(theta, h: float, n_max: int) -> list:
@@ -564,9 +535,9 @@ def blend_partial_sums(
 ) -> PartialSumTrace:
     """Evaluate the grid once, for the partial sums Delta(N, h), N = 1..n_max.
 
-    The trace sums them when they are read (see :class:`PartialSumTrace`):
-    this call evaluates the grid and sums nothing, so a value that is no
-    number fails at the first read, not here.
+    The trace sums each order on its first read (see
+    :class:`PartialSumTrace`): this call evaluates the grid and sums nothing,
+    so a value that is no number fails at the first read, not here.
     phi(theta + k*h) is evaluated exactly once per k.  An oracle with a
     ``batch`` receives the whole grid in one :meth:`FunctionOracle.evaluate_many`
     call, and the worker budget does not apply to it.  Other oracles'

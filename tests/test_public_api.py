@@ -179,7 +179,7 @@ def test_series_core_private_imports_are_pinned():
                 if private:
                     imported.setdefault(path.stem, set()).update(private)
     assert imported == {
-        "blend_driver": {"_grid_points", "_integer", "_last_deltas", "_real", "_rounding_floor"},
+        "blend_driver": {"_grid_points", "_integer", "_real", "_rounding_floor"},
         "bounds_planner": {"_check_step", "_integer", "_real"},
         "models": {"_integer", "_real"},
         "cli": {"_env_workers"},

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,7 +40,7 @@ from blend import (
     stencil_weights,
 )
 from blend.reference_tables import generate_table
-from blend.series_core import _last_deltas, _rounding_floor
+from blend.series_core import _rounding_floor
 
 
 class TestStencilWeights:
@@ -491,8 +492,14 @@ def _trace_of(values, h: float) -> PartialSumTrace:
     return blend_partial_sums(FunctionOracle(lambda t: next(slots)), 0.0, h, len(values) - 1)
 
 
+def _last_two(trace: PartialSumTrace) -> tuple:
+    """(Delta(N-1), Delta(N)) at the trace's top order N, or (Delta(1),) at N = 1, read through ``_delta``."""
+    n = len(trace.cached_values) - 1
+    return tuple(trace._delta(k) for k in range(max(n - 1, 1), n + 1))
+
+
 class TestLazyDeltas:
-    """``deltas`` is summed on its first read; the driver's last two partial sums are summed on their own."""
+    """Each order of a trace is summed on its first read; ``deltas`` and the driver's last two share the sums."""
 
     def test_matches_delta_from_cache_and_the_last_two(self):
         rng = random.Random(30)
@@ -522,11 +529,11 @@ class TestLazyDeltas:
             # The table read alone, and after the last two were summed.
             for last_first in (False, True):
                 trace = _trace_of(values, h)
-                last = _outcome(lambda: _last_deltas(trace)) if last_first else None
+                last = _outcome(lambda: _last_two(trace)) if last_first else None
                 deltas = trace.deltas
                 assert _outcome(lambda: deltas) == _outcome(lambda: expected), (values, h)
                 assert list(map(type, deltas)) == list(map(type, expected))
-                assert _outcome(lambda: _last_deltas(trace)) == _outcome(lambda: deltas[-2:])
+                assert _outcome(lambda: _last_two(trace)) == _outcome(lambda: deltas[-2:])
                 if last_first:
                     assert last == _outcome(lambda: deltas[-2:])
 
@@ -553,7 +560,15 @@ class TestLazyDeltas:
         orders.clear()
         trace = blend_partial_sums(FunctionOracle(math.sin), 0.7, 0.1, 12)
         assert trace.deltas and orders == list(range(1, 13))
-        assert _last_deltas(trace) == trace.deltas[-2:] and orders == list(range(1, 13))  # read from the table
+        assert _last_two(trace) == trace.deltas[-2:] and orders == list(range(1, 13))  # read from the table
+        orders.clear()
+        trace = blend_partial_sums(FunctionOracle(math.sin), 0.7, 0.1, 12)
+        assert not orders  # the grid is evaluated, and nothing is summed
+        inner = trace._delta(5)
+        assert orders == [5] and trace._delta(5) is inner and orders == [5]
+        deltas = trace.deltas
+        assert deltas[4] is inner and orders == [5, 1, 2, 3, 4, *range(6, 13)]  # each order once
+        assert _last_two(trace) == deltas[-2:] and sorted(orders) == list(range(1, 13))
 
     def test_threads_reading_one_trace_get_one_tuple(self):
         values = [math.sin(0.1 * k) for k in range(ORDER_CAP + 1)]
@@ -567,7 +582,7 @@ class TestLazyDeltas:
 
                 def read(i):
                     barrier.wait(5)
-                    (tables if i % 2 else lasts).append(trace.deltas if i % 2 else _last_deltas(trace))
+                    (tables if i % 2 else lasts).append(trace.deltas if i % 2 else _last_two(trace))
 
                 threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
                 for thread in threads:
@@ -577,9 +592,51 @@ class TestLazyDeltas:
                 assert not any(thread.is_alive() for thread in threads)
                 assert len(tables) == len(lasts) == 4
                 assert all(table is tables[0] for table in tables) and trace.deltas is tables[0]
-                assert all(last == tables[0][-2:] for last in lasts)
+                assert all(last == tables[0][-2:] and last[-1] is tables[0][-1] for last in lasts)
         finally:
             sys.setswitchinterval(previous)
+
+
+class _Float(float):
+    """A float subclass defined here; ``numpy.float64`` is another."""
+
+
+class TestFloatSubclasses:
+    """A grid of float subclasses takes the float path: the bits, and the type float, of a grid of plain floats."""
+
+    def test_sums_match_a_plain_float_grid(self):
+        h, n = 0.01, 12
+        plain = [math.sin(0.7 + k * h) for k in range(n + 1)]
+        expected = _trace_of(plain, h).deltas
+        for grid in ([_Float(v) for v in plain], [np.float64(v) for v in plain]):
+            deltas = _trace_of(grid, h).deltas
+            assert _outcome(lambda: deltas) == _outcome(lambda: expected) and {type(d) for d in deltas} == {float}
+            for k in range(1, n + 1):
+                got, want = (delta_from_cache(stencil_weights(k), values, h) for values in (grid, plain))
+                assert got.hex() == want.hex() and type(got) is float, k
+            got, want = (operator_power(None, 0.7, h, n, cache=values) for values in (grid, plain))
+            assert got.hex() == want.hex() and type(got) is float
+
+    @pytest.mark.parametrize("n_max", [8, 12])
+    def test_run_blend_matches_a_plain_float_oracle(self, n_max):
+        def numpy_sin(points):
+            return np.sin(np.array(points))
+
+        oracles = [
+            FunctionOracle(lambda t: _Float(math.sin(t))),
+            FunctionOracle(math.sin),
+            FunctionOracle(np.sin, batch=numpy_sin),
+            FunctionOracle(np.sin, batch=lambda points: numpy_sin(points).tolist()),
+        ]
+        reports = [run_blend(oracle, 0.7, BlendConfig(h0=0.1, n_max=n_max)) for oracle in oracles]
+        for report, plain in (reports[:2], reports[2:]):
+            assert type(report.value) is float and report.value.hex() == plain.value.hex()
+            assert (report.agreed_digits, report.refinements, report.stabilized) == (
+                plain.agreed_digits,
+                plain.refinements,
+                plain.stabilized,
+            )
+            assert report.trace.deltas == plain.trace.deltas
 
 
 class TestParallelism:
